@@ -178,20 +178,6 @@ impl Do53Client {
         }
         true
     }
-
-    /// Sends the query and runs the simulation until its response arrives,
-    /// broadcasting every wake to `self` and `peer` — a two-endpoint
-    /// convenience; registry topologies use
-    /// [`Driver::resolve`](crate::Driver::resolve) instead.
-    pub fn resolve(
-        &mut self,
-        sim: &mut Sim,
-        peer: &mut dyn Endpoint,
-        name: &Name,
-        id: u16,
-    ) -> Option<Message> {
-        crate::resolve_with_extras_impl(sim, self, peer, &mut [], name, id)
-    }
 }
 
 impl Resolver for Do53Client {
@@ -259,35 +245,37 @@ impl Endpoint for Do53Client {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::tests::{driven, localhost};
+    use crate::{ReusePolicy, TransportConfig, TransportKind};
     use dohmark_netsim::LinkConfig;
-    use std::net::Ipv4Addr;
 
-    fn setup(seed: u64) -> (Sim, Do53Client, Do53Server) {
-        let mut sim = Sim::new(seed);
-        let stub = sim.add_host("stub");
-        let resolver = sim.add_host("resolver");
-        sim.add_link(stub, resolver, LinkConfig::localhost());
-        let server = Do53Server::bind(&mut sim, resolver, 53, Ipv4Addr::new(192, 0, 2, 7), 300);
-        let client = Do53Client::new(stub, (resolver, 53));
-        (sim, client, server)
+    fn do53() -> TransportConfig {
+        localhost(TransportKind::Do53, ReusePolicy::Fresh)
+    }
+
+    /// Do53 on a link that loses every packet.
+    fn dead_link() -> TransportConfig {
+        TransportConfig { link: LinkConfig::localhost().loss(1.0), ..do53() }
+    }
+
+    fn name() -> Name {
+        Name::parse("abcdefgh.dohmark.test").unwrap()
     }
 
     #[test]
     fn query_resolves_to_the_fixed_answer() {
-        let (mut sim, mut client, mut server) = setup(1);
-        let name = Name::parse("abcdefgh.dohmark.test").unwrap();
-        let response = client.resolve(&mut sim, &mut server, &name, 1).unwrap();
+        let (mut sim, mut driver, client) = driven(&do53(), 1);
+        let response = driver.resolve(&mut sim, client, &name(), 1).unwrap();
         assert_eq!(response.header.id, 1);
         assert_eq!(response.answers.len(), 1);
-        assert_eq!(response.answers[0].name, name);
+        assert_eq!(response.answers[0].name, name());
     }
 
     #[test]
     fn each_resolution_is_two_packets_charged_to_its_id() {
-        let (mut sim, mut client, mut server) = setup(2);
-        let name = Name::parse("abcdefgh.dohmark.test").unwrap();
+        let (mut sim, mut driver, client) = driven(&do53(), 2);
         for id in 1..=3u16 {
-            client.resolve(&mut sim, &mut server, &name, id).unwrap();
+            driver.resolve(&mut sim, client, &name(), id).unwrap();
         }
         sim.drain();
         for id in 1..=3u32 {
@@ -299,30 +287,32 @@ mod tests {
         }
     }
 
-    #[test]
-    fn each_query_uses_a_fresh_source_port() {
-        let (mut sim, mut client, mut server) = setup(3);
-        sim.trace.enable(100);
-        let name = Name::parse("abcdefgh.dohmark.test").unwrap();
-        client.resolve(&mut sim, &mut server, &name, 1).unwrap();
-        client.resolve(&mut sim, &mut server, &name, 2).unwrap();
-        let sources: Vec<String> = sim
-            .trace
+    /// The `host:port->host:port` directions of the packets the stub sent.
+    fn stub_sends(sim: &Sim) -> Vec<String> {
+        sim.trace
             .records()
             .iter()
             .filter(|r| r.direction.starts_with("stub"))
             .map(|r| r.direction.clone())
-            .collect();
+            .collect()
+    }
+
+    #[test]
+    fn each_query_uses_a_fresh_source_port() {
+        let (mut sim, mut driver, client) = driven(&do53(), 3);
+        sim.trace.enable(100);
+        driver.resolve(&mut sim, client, &name(), 1).unwrap();
+        driver.resolve(&mut sim, client, &name(), 2).unwrap();
+        let sources = stub_sends(&sim);
         assert_eq!(sources.len(), 2);
         assert_ne!(sources[0], sources[1], "source ports must differ");
     }
 
     #[test]
     fn client_closes_its_ephemeral_socket_after_the_response() {
-        let (mut sim, mut client, mut server) = setup(5);
+        let (mut sim, mut driver, client) = driven(&do53(), 5);
         sim.trace.enable(16);
-        let name = Name::parse("abcdefgh.dohmark.test").unwrap();
-        client.resolve(&mut sim, &mut server, &name, 1).unwrap();
+        driver.resolve(&mut sim, client, &name(), 1).unwrap();
         sim.drain();
         let dropped_before = sim.dropped_packets();
         // A stray duplicate response to the query's (now closed) source
@@ -339,14 +329,8 @@ mod tests {
 
     #[test]
     fn lost_query_returns_none() {
-        let mut sim = Sim::new(4);
-        let stub = sim.add_host("stub");
-        let resolver = sim.add_host("resolver");
-        sim.add_link(stub, resolver, LinkConfig::localhost().loss(1.0));
-        let mut server = Do53Server::bind(&mut sim, resolver, 53, Ipv4Addr::new(192, 0, 2, 7), 60);
-        let mut client = Do53Client::new(stub, (resolver, 53));
-        let name = Name::parse("abcdefgh.dohmark.test").unwrap();
-        assert!(client.resolve(&mut sim, &mut server, &name, 1).is_none());
+        let (mut sim, mut driver, client) = driven(&dead_link(), 4);
+        assert!(driver.resolve(&mut sim, client, &name(), 1).is_none());
     }
 
     #[test]
@@ -355,55 +339,31 @@ mod tests {
         // retransmitting client recovers every one of a batch, because a
         // per-attempt success chance of ~0.49 over 7 transmissions leaves
         // a failure probability under 1%.
-        let mut sim = Sim::new(11);
-        let stub = sim.add_host("stub");
-        let resolver = sim.add_host("resolver");
-        sim.add_link(stub, resolver, LinkConfig::localhost().loss(0.3));
-        let mut server = Do53Server::bind(&mut sim, resolver, 53, Ipv4Addr::new(192, 0, 2, 7), 60);
-        let mut client = Do53Client::with_retry(stub, (resolver, 53), UdpRetry::standard());
-        let name = Name::parse("abcdefgh.dohmark.test").unwrap();
+        let cfg = TransportConfig { link: LinkConfig::localhost().loss(0.3), ..do53() }
+            .with_udp_retry(UdpRetry::standard());
+        let (mut sim, mut driver, client) = driven(&cfg, 11);
         for id in 1..=8u16 {
-            let response = client.resolve(&mut sim, &mut server, &name, id);
+            let response = driver.resolve(&mut sim, client, &name(), id);
             assert!(response.is_some(), "id {id} failed despite retries");
         }
     }
 
     #[test]
     fn retry_gives_up_after_its_budget_on_a_dead_link() {
-        let mut sim = Sim::new(6);
-        let stub = sim.add_host("stub");
-        let resolver = sim.add_host("resolver");
-        sim.add_link(stub, resolver, LinkConfig::localhost().loss(1.0));
-        let mut server = Do53Server::bind(&mut sim, resolver, 53, Ipv4Addr::new(192, 0, 2, 7), 60);
-        let mut client = Do53Client::with_retry(stub, (resolver, 53), UdpRetry::standard());
-        let name = Name::parse("abcdefgh.dohmark.test").unwrap();
-        assert!(client.resolve(&mut sim, &mut server, &name, 1).is_none());
+        let (mut sim, mut driver, client) =
+            driven(&dead_link().with_udp_retry(UdpRetry::standard()), 6);
+        assert!(driver.resolve(&mut sim, client, &name(), 1).is_none());
         // Original send + 6 retransmissions, every one dropped on the link.
         assert_eq!(sim.dropped_packets(), 7);
     }
 
     #[test]
     fn retransmissions_reuse_the_original_source_port() {
-        let mut sim = Sim::new(7);
-        let stub = sim.add_host("stub");
-        let resolver = sim.add_host("resolver");
-        sim.add_link(stub, resolver, LinkConfig::localhost().loss(1.0));
+        let retry = UdpRetry { initial: SimDuration::from_millis(200), max_retries: 2 };
+        let (mut sim, mut driver, client) = driven(&dead_link().with_udp_retry(retry), 7);
         sim.trace.enable(32);
-        let mut server = Do53Server::bind(&mut sim, resolver, 53, Ipv4Addr::new(192, 0, 2, 7), 60);
-        let mut client = Do53Client::with_retry(
-            stub,
-            (resolver, 53),
-            UdpRetry { initial: SimDuration::from_millis(200), max_retries: 2 },
-        );
-        let name = Name::parse("abcdefgh.dohmark.test").unwrap();
-        client.resolve(&mut sim, &mut server, &name, 1);
-        let sources: Vec<String> = sim
-            .trace
-            .records()
-            .iter()
-            .filter(|r| r.direction.starts_with("stub"))
-            .map(|r| r.direction.clone())
-            .collect();
+        driver.resolve(&mut sim, client, &name(), 1);
+        let sources = stub_sends(&sim);
         assert_eq!(sources.len(), 3, "original + 2 retransmissions");
         assert!(sources.iter().all(|s| s == &sources[0]), "{sources:?}");
     }

@@ -1,379 +1,130 @@
-//! DNS over HTTPS on HTTP/1.1 (RFC 8484 over RFC 9112).
+//! DNS over HTTPS on HTTP/1.1 (RFC 8484 over RFC 9112) framing.
 //!
-//! Wire shape per query, inside TLS records over simulated TCP:
-//!
-//! * Request: `POST /dns-query HTTP/1.1` with `host`, `accept`,
-//!   `content-type: application/dns-message` and `content-length` fields —
-//!   the full header text every HTTP/1.1 request repeats, which is exactly
-//!   why the paper finds h1 headers cost more than HPACK-compressed h2
-//!   headers on persistent connections. The body is the raw DNS query.
-//! * Response: `HTTP/1.1 200 OK` with `content-type`, `server` and
-//!   `content-length`, body the raw DNS response.
-//!
-//! Header text is tagged [`LayerTag::HttpHeader`], bodies
-//! [`LayerTag::HttpBody`], TLS record framing `Tls` — the paper's "Hdr" /
-//! "Body" / "TLS" split.
+//! A query is `POST /dns-query HTTP/1.1` with `host`, `accept`,
+//! `content-type: application/dns-message` and `content-length` fields —
+//! the full header text every HTTP/1.1 request repeats, which is why the
+//! paper finds h1 headers cost more than HPACK-compressed h2 headers on
+//! persistent connections. An answer is `HTTP/1.1 200 OK` with
+//! `content-type`, `server` and `content-length`. Bodies are the raw DNS
+//! messages. Header text is tagged [`LayerTag::HttpHeader`], bodies
+//! [`LayerTag::HttpBody`] — the paper's "Hdr" / "Body" split.
 
-use crate::resolver::ServerBackend;
+use crate::stream::{Answers, Framing};
 use crate::tls_stream::TlsStream;
-use crate::{Endpoint, Resolver, ReusePolicy};
-use dohmark_dns_wire::{Message, Name, RecordType};
-use dohmark_httpsim::h1::{Request, RequestParser, Response, ResponseParser};
-use dohmark_netsim::{HostId, LayerTag, ListenerId, Side, Sim, TcpHandle, Wake};
-use dohmark_tls_model::TlsConfig;
-use std::collections::{HashMap, VecDeque};
-use std::net::Ipv4Addr;
+use dohmark_dns_wire::Message;
+use dohmark_httpsim::h1::{Encoded, Request, RequestParser, Response, ResponseParser};
+use dohmark_netsim::{LayerTag, Sim};
+use std::collections::VecDeque;
 
 /// The RFC 8484 media type.
 pub const DNS_MESSAGE: &str = "application/dns-message";
 /// The conventional DoH endpoint path.
 pub const DOH_PATH: &str = "/dns-query";
 
-fn doh_request(authority: &str, body: Vec<u8>) -> Request {
-    Request::new(
-        "POST",
-        DOH_PATH,
-        vec![
-            ("host".to_string(), authority.to_string()),
-            ("accept".to_string(), DNS_MESSAGE.to_string()),
-            ("content-type".to_string(), DNS_MESSAGE.to_string()),
-        ],
-    )
-    .with_body(body)
+/// Seals one encoded request or response — header text tagged `Hdr`, body
+/// `Body` — charged to transaction `attr`.
+fn send(tls: &mut TlsStream, sim: &mut Sim, attr: u16, encoded: &Encoded) {
+    tls.send_segments(
+        sim,
+        u32::from(attr),
+        &[(LayerTag::HttpHeader, &encoded.head), (LayerTag::HttpBody, &encoded.body)],
+    );
 }
 
-fn doh_response(body: Vec<u8>) -> Response {
-    Response::new(
-        200,
-        "OK",
-        vec![
-            ("content-type".to_string(), DNS_MESSAGE.to_string()),
-            ("server".to_string(), "dohmark".to_string()),
-        ],
-    )
-    .with_body(body)
+/// A DoH/1.1 connection's parsers and answer pipeline.
+#[derive(Debug, Default)]
+pub(crate) struct H1 {
+    responses: ResponseParser,
+    requests: RequestParser,
+    /// Answers in request order, `None` while still pending — HTTP/1.1
+    /// has no stream multiplexing, so responses go out in request order
+    /// even when a later answer (a cache hit) is ready before an earlier
+    /// one (parked on an upstream fetch): real h1 head-of-line blocking.
+    pipeline: VecDeque<Option<Message>>,
+    /// Responses sent so far: request `n` waits at `pipeline[n - sent]`.
+    sent: u64,
 }
 
-/// A DoH/1.1 connection: TLS stream plus an HTTP/1.1 response parser.
-#[derive(Debug)]
-struct H1Conn {
-    tls: TlsStream,
-    parser: ResponseParser,
-}
+impl Framing for H1 {
+    type Slot = u64;
 
-/// A DoH client speaking HTTP/1.1 to one resolver.
-#[derive(Debug)]
-pub struct DohH1Client {
-    host: HostId,
-    server: (HostId, u16),
-    authority: String,
-    tls_cfg: TlsConfig,
-    policy: ReusePolicy,
-    conn_attr: u32,
-    conn: Option<H1Conn>,
-    queued: Vec<(u16, Name)>,
-    /// Queries sent (or queued) whose response has not yet arrived; a
-    /// fresh connection closes only once this drains.
-    inflight: usize,
-    responses: Vec<Message>,
-}
-
-impl DohH1Client {
-    /// A client on `host` for `server`, usually `(resolver, 443)`. The
-    /// `authority` is the `host` header value (normally the TLS SNI).
-    /// Setup attribution follows the same rules as
-    /// [`DotClient::new`](crate::DotClient::new).
-    pub fn new(
-        host: HostId,
-        server: (HostId, u16),
-        authority: &str,
-        tls_cfg: TlsConfig,
-        policy: ReusePolicy,
-        conn_attr: u32,
-    ) -> DohH1Client {
-        DohH1Client {
-            host,
-            server,
-            authority: authority.to_string(),
-            tls_cfg,
-            policy,
-            conn_attr,
-            conn: None,
-            queued: Vec::new(),
-            inflight: 0,
-            responses: Vec::new(),
-        }
+    fn send_query(&mut self, tls: &mut TlsStream, sim: &mut Sim, query: &Message, authority: &str) {
+        let request = Request::new(
+            "POST",
+            DOH_PATH,
+            vec![
+                ("host".to_string(), authority.to_string()),
+                ("accept".to_string(), DNS_MESSAGE.to_string()),
+                ("content-type".to_string(), DNS_MESSAGE.to_string()),
+            ],
+        )
+        .with_body(query.encode());
+        send(tls, sim, query.header.id, &request.encode());
     }
 
-    /// Whether the client currently holds an established connection.
-    pub fn is_connected(&self) -> bool {
-        self.conn.as_ref().is_some_and(|c| c.tls.established())
-    }
-
-    fn flush(&mut self, sim: &mut Sim) {
-        let Some(conn) = self.conn.as_mut() else { return };
-        if !conn.tls.established() {
-            return;
-        }
-        for (id, name) in self.queued.drain(..) {
-            let query = Message::query(id, &name, RecordType::A);
-            let encoded = doh_request(&self.authority, query.encode()).encode();
-            conn.tls.send_segments(
-                sim,
-                u32::from(id),
-                &[(LayerTag::HttpHeader, &encoded.head), (LayerTag::HttpBody, &encoded.body)],
-            );
-        }
-    }
-
-    /// Sends the query and runs the simulation until its response arrives,
-    /// broadcasting every wake to `self` and `peer` — a two-endpoint
-    /// convenience; registry topologies use
-    /// [`Driver::resolve`](crate::Driver::resolve) instead.
-    pub fn resolve(
+    fn read_responses(
         &mut self,
-        sim: &mut Sim,
-        peer: &mut dyn Endpoint,
-        name: &Name,
-        id: u16,
-    ) -> Option<Message> {
-        crate::resolve_with_extras_impl(sim, self, peer, &mut [], name, id)
-    }
-}
-
-impl Resolver for DohH1Client {
-    fn send_query(&mut self, sim: &mut Sim, name: &Name, id: u16) {
-        let dead = self.conn.as_ref().is_some_and(|c| sim.tcp_has_failed(c.tls.handle));
-        if self.conn.is_none() || dead {
-            let attr = match self.policy {
-                ReusePolicy::Fresh => u32::from(id),
-                ReusePolicy::Persistent => self.conn_attr,
-            };
-            sim.set_attr(attr);
-            let handle = sim.tcp_connect(self.host, self.server);
-            self.conn = Some(H1Conn {
-                tls: TlsStream::new(handle, &self.tls_cfg, attr),
-                parser: ResponseParser::new(),
-            });
-            // Queries in flight on a dead connection are lost for good.
-            self.inflight = 0;
-        }
-        self.queued.push((id, name.clone()));
-        self.inflight += 1;
-        self.flush(sim);
-    }
-
-    fn take_response(&mut self, id: u16) -> Option<Message> {
-        let idx = self.responses.iter().position(|m| m.header.id == id)?;
-        Some(self.responses.remove(idx))
-    }
-
-    /// Closes the current connection, if any (TCP FIN), abandoning
-    /// queries that were still queued for it.
-    fn close(&mut self, sim: &mut Sim) {
-        self.queued.clear();
-        self.inflight = 0;
-        if let Some(conn) = self.conn.take() {
-            sim.tcp_close(conn.tls.handle);
-        }
-    }
-}
-
-impl Endpoint for DohH1Client {
-    fn on_wake(&mut self, sim: &mut Sim, wake: &Wake) {
-        let Some(conn) = self.conn.as_mut() else { return };
-        match *wake {
-            Wake::TcpConnected { conn: handle, .. } if handle == conn.tls.handle => {
-                let _ = conn.tls.advance(sim, &[]);
-                self.flush(sim);
-            }
-            Wake::TcpReadable { conn: handle, .. } if handle == conn.tls.handle => {
-                let data = sim.tcp_recv(handle);
-                let was_established = conn.tls.established();
-                let plaintext = conn.tls.advance(sim, &data);
-                conn.parser.push(&plaintext);
-                while let Ok(Some(response)) = conn.parser.next_response() {
-                    self.inflight = self.inflight.saturating_sub(1);
-                    if response.status == 200 {
-                        if let Ok(msg) = Message::decode(&response.body) {
-                            self.responses.push(msg);
-                        }
-                    }
-                }
-                if !was_established && conn.tls.established() {
-                    self.flush(sim);
-                }
-                if self.inflight == 0 && self.policy == ReusePolicy::Fresh {
-                    let handle = self.conn.take().expect("conn is live").tls.handle;
-                    sim.tcp_close(handle);
+        _tls: &mut TlsStream,
+        _sim: &mut Sim,
+        plaintext: &[u8],
+        answers: &mut Answers,
+    ) -> usize {
+        self.responses.push(plaintext);
+        let mut completed = 0;
+        while let Ok(Some(response)) = self.responses.next_response() {
+            completed += 1;
+            if response.status == 200 {
+                if let Ok(answer) = Message::decode(&response.body) {
+                    answers.put(answer);
                 }
             }
-            Wake::TcpFin { conn: handle, .. } if handle == conn.tls.handle => {
-                sim.tcp_close(handle);
-                self.conn = None;
-            }
-            _ => {}
         }
-    }
-}
-
-/// A DoH/1.1 server-side connection.
-#[derive(Debug)]
-struct H1ServerConn {
-    tls: TlsStream,
-    parser: RequestParser,
-    /// Waiter tokens of requests in arrival order — HTTP/1.1 has no
-    /// stream multiplexing, so responses must go out in request order
-    /// even when a later request's answer (a cache hit) is ready before
-    /// an earlier one's (parked on an upstream fetch): real h1
-    /// head-of-line blocking.
-    pipeline: VecDeque<u64>,
-}
-
-/// A DoH/1.1 server answering from a pluggable [`ServerBackend`] —
-/// authoritative zone data or a shared caching recursive resolver.
-#[derive(Debug)]
-pub struct DohH1Server {
-    listener: ListenerId,
-    tls_cfg: TlsConfig,
-    backend: ServerBackend,
-    /// Keyed lookup only (the wake's own handle) — never iterated, so
-    /// the randomized order is unobservable (no-unordered-iteration).
-    conns: HashMap<TcpHandle, H1ServerConn>,
-    /// Parked queries: waiter token → the connection expecting the answer.
-    /// Keyed lookup only: drained in the backend's completion order.
-    waiters: HashMap<u64, TcpHandle>,
-    /// Responses ready to send, held until their turn in the pipeline.
-    /// Keyed lookup only: popped in each connection's FIFO order.
-    ready: HashMap<u64, Message>,
-    next_waiter: u64,
-}
-
-impl DohH1Server {
-    /// Listens on `(host, port)` answering every query with one fixed A
-    /// record `answer`/`ttl`.
-    pub fn bind(
-        sim: &mut Sim,
-        host: HostId,
-        port: u16,
-        tls_cfg: TlsConfig,
-        answer: Ipv4Addr,
-        ttl: u32,
-    ) -> DohH1Server {
-        DohH1Server::bind_with(sim, host, port, tls_cfg, ServerBackend::fixed(answer, ttl))
+        completed
     }
 
-    /// Listens on `(host, port)` answering from `backend`.
-    pub fn bind_with(
-        sim: &mut Sim,
-        host: HostId,
-        port: u16,
-        tls_cfg: TlsConfig,
-        backend: ServerBackend,
-    ) -> DohH1Server {
-        let listener = sim.tcp_listen(host, port);
-        DohH1Server {
-            listener,
-            tls_cfg,
-            backend,
-            conns: HashMap::new(),
-            waiters: HashMap::new(),
-            ready: HashMap::new(),
-            next_waiter: 1,
+    fn read_queries(
+        &mut self,
+        _tls: &mut TlsStream,
+        _sim: &mut Sim,
+        plaintext: &[u8],
+    ) -> Vec<(u64, Message)> {
+        self.requests.push(plaintext);
+        let mut queries = Vec::new();
+        while let Ok(Some(request)) = self.requests.next_request() {
+            // Requests whose body is not a DNS message are dropped, like a
+            // resolver answering 400 we never retry on.
+            let Ok(query) = Message::decode(&request.body) else { continue };
+            queries.push((self.sent + self.pipeline.len() as u64, query));
+            self.pipeline.push_back(None);
         }
+        queries
     }
 
-    /// Established-and-open connection count (for tests and reports).
-    pub fn open_connections(&self) -> usize {
-        self.conns.len()
+    fn send_response(
+        &mut self,
+        _tls: &mut TlsStream,
+        _sim: &mut Sim,
+        slot: u64,
+        response: Message,
+    ) {
+        let at = (slot - self.sent) as usize;
+        self.pipeline[at] = Some(response);
     }
 
-    /// The backend's cache statistics, if it has a cache.
-    pub fn cache_stats(&self) -> Option<crate::cache::CacheStats> {
-        self.backend.cache_stats()
-    }
-
-    /// Sends `handle`'s ready responses, in request order, stopping at the
-    /// first whose answer is still pending (h1 head-of-line blocking).
-    fn flush_conn(&mut self, sim: &mut Sim, handle: TcpHandle) {
-        let Some(conn) = self.conns.get_mut(&handle) else { return };
-        while let Some(&waiter) = conn.pipeline.front() {
-            let Some(response) = self.ready.remove(&waiter) else { break };
-            conn.pipeline.pop_front();
-            let encoded = doh_response(response.encode()).encode();
-            conn.tls.send_segments(
-                sim,
-                u32::from(response.header.id),
-                &[(LayerTag::HttpHeader, &encoded.head), (LayerTag::HttpBody, &encoded.body)],
-            );
-        }
-    }
-}
-
-impl Endpoint for DohH1Server {
-    fn on_wake(&mut self, sim: &mut Sim, wake: &Wake) {
-        // Upstream completions first: queue each answer at its pipeline
-        // slot, then flush whatever became sendable.
-        let completed = self.backend.poll(sim, wake);
-        if !completed.is_empty() {
-            let mut touched = Vec::new();
-            for (waiter, response) in completed {
-                let Some(handle) = self.waiters.remove(&waiter) else { continue };
-                self.ready.insert(waiter, response);
-                if !touched.contains(&handle) {
-                    touched.push(handle);
-                }
-            }
-            for handle in touched {
-                self.flush_conn(sim, handle);
-            }
-        }
-        match *wake {
-            Wake::TcpAccepted { listener, conn: handle, .. } if listener == self.listener => {
-                let attr = sim.attr();
-                self.conns.insert(
-                    handle,
-                    H1ServerConn {
-                        tls: TlsStream::new(handle, &self.tls_cfg, attr),
-                        parser: RequestParser::new(),
-                        pipeline: VecDeque::new(),
-                    },
-                );
-            }
-            Wake::TcpReadable { conn: handle, .. } if handle.side == Side::Server => {
-                let Some(conn) = self.conns.get_mut(&handle) else { return };
-                let data = sim.tcp_recv(handle);
-                let plaintext = conn.tls.advance(sim, &data);
-                conn.parser.push(&plaintext);
-                let mut queries = Vec::new();
-                while let Ok(Some(request)) = conn.parser.next_request() {
-                    // Requests whose body is not a DNS message are dropped,
-                    // like a resolver answering 400 we never retry on.
-                    let Ok(query) = Message::decode(&request.body) else { continue };
-                    queries.push(query);
-                }
-                for query in queries {
-                    let waiter = self.next_waiter;
-                    self.next_waiter += 1;
-                    let conn = self.conns.get_mut(&handle).expect("conn is live");
-                    conn.pipeline.push_back(waiter);
-                    match self.backend.answer(sim, &query, waiter) {
-                        Some(response) => {
-                            self.ready.insert(waiter, response);
-                        }
-                        None => {
-                            self.waiters.insert(waiter, handle);
-                        }
-                    }
-                }
-                self.flush_conn(sim, handle);
-            }
-            Wake::TcpFin { conn: handle, .. }
-                if handle.side == Side::Server && self.conns.remove(&handle).is_some() =>
-            {
-                sim.tcp_close(handle);
-            }
-            _ => {}
+    fn flush_responses(&mut self, tls: &mut TlsStream, sim: &mut Sim) {
+        while let Some(answer) = self.pipeline.front_mut().and_then(Option::take) {
+            self.pipeline.pop_front();
+            self.sent += 1;
+            let response = Response::new(
+                200,
+                "OK",
+                vec![
+                    ("content-type".to_string(), DNS_MESSAGE.to_string()),
+                    ("server".to_string(), "dohmark".to_string()),
+                ],
+            )
+            .with_body(answer.encode());
+            send(tls, sim, answer.header.id, &response.encode());
         }
     }
 }
@@ -381,39 +132,39 @@ impl Endpoint for DohH1Server {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dohmark_netsim::LinkConfig;
-    use dohmark_tls_model::{handshake_bytes, ALPN_HTTP11};
-    use std::net::Ipv4Addr;
+    use crate::stream::tests::{lifecycle_tests, name, pair, pump, resolve, TestFraming};
+    use crate::transport::tests::{driven, localhost};
+    use crate::{Resolver, ReusePolicy, TransportKind};
+    use dohmark_dns_wire::RecordType;
+    use dohmark_tls_model::handshake_bytes;
 
-    fn h1_tls() -> TlsConfig {
-        TlsConfig::for_server("dns.example.net").alpn(ALPN_HTTP11)
+    impl TestFraming for H1 {
+        const KIND: TransportKind = TransportKind::DohH1;
+
+        /// `500 Internal Server Error` with a DNS-shaped body.
+        fn send_rejection(&mut self, tls: &mut TlsStream, sim: &mut Sim, _: u64, query: &Message) {
+            let body = Message::fixed_a_response(query, std::net::Ipv4Addr::new(192, 0, 2, 7), 60);
+            let response =
+                Response::new(500, "Internal Server Error", Vec::new()).with_body(body.encode());
+            send(tls, sim, query.header.id, &response.encode());
+        }
     }
 
-    fn setup(seed: u64, policy: ReusePolicy) -> (Sim, DohH1Client, DohH1Server) {
-        let mut sim = Sim::new(seed);
-        let stub = sim.add_host("stub");
-        let resolver = sim.add_host("resolver");
-        sim.add_link(stub, resolver, LinkConfig::localhost());
-        let server =
-            DohH1Server::bind(&mut sim, resolver, 443, h1_tls(), Ipv4Addr::new(192, 0, 2, 7), 300);
-        let client =
-            DohH1Client::new(stub, (resolver, 443), "dns.example.net", h1_tls(), policy, 0);
-        (sim, client, server)
-    }
+    lifecycle_tests!(H1);
 
     #[test]
     fn cold_resolution_pays_handshake_headers_and_body() {
-        let (mut sim, mut client, mut server) = setup(1, ReusePolicy::Fresh);
-        let name = Name::parse("abcdefgh.dohmark.test").unwrap();
-        let response = client.resolve(&mut sim, &mut server, &name, 1).unwrap();
-        assert_eq!(response.answers[0].name, name);
+        let cfg = localhost(TransportKind::DohH1, ReusePolicy::Fresh);
+        let (mut sim, mut client, mut server) = pair::<H1>(&cfg, 1);
+        let response = resolve(&mut sim, &mut client, &mut server, &name(), 1).unwrap();
+        assert_eq!(response.answers[0].name, name());
         sim.drain();
         let cost = sim.meter.cost(1);
-        let hs = handshake_bytes(&h1_tls()) as u64;
+        let hs = handshake_bytes(&cfg.tls().unwrap()) as u64;
         // Handshake + one record each way.
         assert_eq!(cost.layers.tls, hs + 2 * 21);
         // Bodies are exactly the DNS messages.
-        let query_len = Message::query(1, &name, RecordType::A).encode().len() as u64;
+        let query_len = Message::query(1, &name(), RecordType::A).encode().len() as u64;
         let resp_len = response.encode().len() as u64;
         assert_eq!(cost.layers.http_body, query_len + resp_len);
         // The request + response header text is a three-digit number of
@@ -425,10 +176,10 @@ mod tests {
 
     #[test]
     fn persistent_connection_repeats_header_text_every_query() {
-        let (mut sim, mut client, mut server) = setup(2, ReusePolicy::Persistent);
-        let name = Name::parse("abcdefgh.dohmark.test").unwrap();
+        let cfg = localhost(TransportKind::DohH1, ReusePolicy::Persistent);
+        let (mut sim, mut client, mut server) = pair::<H1>(&cfg, 2);
         for id in 1..=3u16 {
-            client.resolve(&mut sim, &mut server, &name, id).unwrap();
+            resolve(&mut sim, &mut client, &mut server, &name(), id).unwrap();
         }
         assert!(client.is_connected());
         sim.drain();
@@ -438,29 +189,28 @@ mod tests {
             assert_eq!(sim.meter.cost(id).layers.http_header, first, "id {id}");
             assert_eq!(sim.meter.cost(id).layers.tls, 2 * 21, "id {id}");
         }
-        assert_eq!(sim.meter.cost(0).layers.tls, handshake_bytes(&h1_tls()) as u64);
+        assert_eq!(sim.meter.cost(0).layers.tls, handshake_bytes(&cfg.tls().unwrap()) as u64);
     }
 
     #[test]
     fn close_then_next_query_reconnects() {
-        let (mut sim, mut client, mut server) = setup(3, ReusePolicy::Persistent);
-        let name = Name::parse("abcdefgh.dohmark.test").unwrap();
-        client.resolve(&mut sim, &mut server, &name, 1).unwrap();
+        let (mut sim, mut client, mut server) =
+            pair::<H1>(&localhost(TransportKind::DohH1, ReusePolicy::Persistent), 3);
+        resolve(&mut sim, &mut client, &mut server, &name(), 1).unwrap();
         client.close(&mut sim);
-        crate::drain_endpoints_impl(&mut sim, &mut [&mut client, &mut server]);
+        pump(&mut sim, &mut client, &mut server);
         assert!(!client.is_connected());
         assert_eq!(server.open_connections(), 0);
-        let response = client.resolve(&mut sim, &mut server, &name, 2);
-        assert!(response.is_some());
+        assert!(resolve(&mut sim, &mut client, &mut server, &name(), 2).is_some());
     }
 
     #[test]
     fn identical_seeds_reproduce_identical_h1_costs() {
         let run = |seed: u64| {
-            let (mut sim, mut client, mut server) = setup(seed, ReusePolicy::Persistent);
-            let name = Name::parse("abcdefgh.dohmark.test").unwrap();
+            let (mut sim, mut driver, client) =
+                driven(&localhost(TransportKind::DohH1, ReusePolicy::Persistent), seed);
             for id in 1..=3u16 {
-                client.resolve(&mut sim, &mut server, &name, id).unwrap();
+                driver.resolve(&mut sim, client, &name(), id).unwrap();
             }
             sim.drain();
             (sim.meter.total(), sim.now())

@@ -1,35 +1,30 @@
-//! DNS over HTTPS on HTTP/2 (RFC 8484 over RFC 9113), with real HPACK.
-//!
-//! Wire shape, inside TLS records over simulated TCP:
+//! DNS over HTTPS on HTTP/2 (RFC 8484 over RFC 9113) framing, with real
+//! HPACK.
 //!
 //! * Connection setup after the TLS handshake: the 24-byte client
 //!   preface, a SETTINGS exchange (both directions plus ACKs) and the
 //!   client's connection WINDOW_UPDATE — all tagged
 //!   [`LayerTag::HttpMgmt`], the paper's "Mgmt" layer that makes a *cold*
 //!   DoH/2 resolution the most expensive cell of the transport matrix.
-//! * Per query: one HEADERS frame (HPACK-compressed `:method: POST`,
-//!   `:path: /dns-query`, `content-type: application/dns-message`, …)
-//!   tagged [`LayerTag::HttpHeader`], and one END_STREAM DATA frame with
-//!   the raw DNS message tagged [`LayerTag::HttpBody`]; the response
-//!   mirrors this with `:status: 200`. Client streams use odd ids 1, 3, 5…
+//! * Per message: one HEADERS frame (HPACK-compressed `:method: POST`,
+//!   `:path: /dns-query`, … or `:status: 200`, …) tagged
+//!   [`LayerTag::HttpHeader`], and one END_STREAM DATA frame with the raw
+//!   DNS message tagged [`LayerTag::HttpBody`]. Client streams use odd ids
+//!   1, 3, 5…; the answer goes out on its query's stream.
 //! * On a persistent connection the HPACK dynamic table turns the second
 //!   and later queries' header blocks into a handful of index bytes — the
 //!   header-byte shrinkage `examples/transport_shootout.rs` asserts.
-//! * Graceful teardown sends GOAWAY (NO_ERROR) before the FIN, as real
-//!   clients do; fresh connections do this after every response.
-
-use crate::resolver::ServerBackend;
-use crate::tls_stream::TlsStream;
-use crate::{Endpoint, Resolver, ReusePolicy};
-use dohmark_dns_wire::{Message, Name, RecordType};
-use dohmark_httpsim::h2::{settings, Frame, FrameDecoder, PREFACE};
-use dohmark_httpsim::hpack;
-use dohmark_netsim::{HostId, LayerTag, ListenerId, Side, Sim, TcpHandle, Wake};
-use dohmark_tls_model::TlsConfig;
-use std::collections::{HashMap, HashSet};
-use std::net::Ipv4Addr;
+//! * Client teardown sends GOAWAY (NO_ERROR) before the FIN, as real
+//!   clients do.
 
 use crate::doh1::{DNS_MESSAGE, DOH_PATH};
+use crate::stream::{Answers, Framing};
+use crate::tls_stream::TlsStream;
+use dohmark_dns_wire::Message;
+use dohmark_httpsim::h2::{settings, Frame, FrameDecoder, PREFACE};
+use dohmark_httpsim::hpack;
+use dohmark_netsim::{LayerTag, Sim};
+use std::collections::{HashMap, HashSet};
 
 /// SETTINGS a browser-like DoH client announces.
 const CLIENT_SETTINGS: [(u16, u32); 4] = [
@@ -53,10 +48,9 @@ fn owned(pairs: &[(&str, &str)]) -> Vec<(String, String)> {
     pairs.iter().map(|&(n, v)| (n.to_string(), v.to_string())).collect()
 }
 
-/// One end's HTTP/2 state over an established TLS stream.
+/// One end's HTTP/2 state over a TLS stream.
 #[derive(Debug)]
-struct H2Conn {
-    tls: TlsStream,
+pub(crate) struct H2 {
     frames: FrameDecoder,
     /// HPACK for header blocks this end sends.
     encoder: hpack::Encoder,
@@ -67,19 +61,21 @@ struct H2Conn {
     /// order is unobservable (no-unordered-iteration).
     bodies: HashMap<u32, Vec<u8>>,
     /// Streams whose HEADERS carried a non-200 `:status`; their DATA is
-    /// not a DNS answer (mirrors the h1 client's status check).
-    /// Keyed membership test only — never iterated.
+    /// not a DNS answer. Keyed membership test only — never iterated.
     failed_streams: HashSet<u32>,
-    /// Whether the h2 layer has started (preface/SETTINGS sent).
+    /// Whether this end has announced its SETTINGS.
     started: bool,
     /// Highest peer stream id seen (for GOAWAY).
     last_peer_stream: u32,
+    /// Client: the next stream id to open (odd: 1, 3, 5, …).
+    next_stream_id: u32,
+    /// Server: client-preface bytes still expected before frames begin.
+    preface_left: usize,
 }
 
-impl H2Conn {
-    fn new(tls: TlsStream) -> H2Conn {
-        H2Conn {
-            tls,
+impl Default for H2 {
+    fn default() -> H2 {
+        H2 {
             frames: FrameDecoder::new(),
             encoder: hpack::Encoder::new(),
             decoder: hpack::Decoder::new(),
@@ -87,12 +83,16 @@ impl H2Conn {
             failed_streams: HashSet::new(),
             started: false,
             last_peer_stream: 0,
+            next_stream_id: 1,
+            preface_left: PREFACE.len(),
         }
     }
+}
 
+impl H2 {
     /// Sends management frames (plus the preface when `preface` is set)
     /// as one tagged write under the connection's setup attribution.
-    fn send_mgmt(&mut self, sim: &mut Sim, preface: bool, frames: &[Frame]) {
+    fn send_mgmt(tls: &mut TlsStream, sim: &mut Sim, preface: bool, frames: &[Frame]) {
         let mut bytes = Vec::new();
         if preface {
             bytes.extend_from_slice(PREFACE);
@@ -100,48 +100,49 @@ impl H2Conn {
         for frame in frames {
             bytes.extend_from_slice(&frame.encode());
         }
-        let attr = self.tls.setup_attr;
-        self.tls.send_segments(sim, attr, &[(LayerTag::HttpMgmt, &bytes)]);
+        let attr = tls.setup_attr;
+        tls.send_segments(sim, attr, &[(LayerTag::HttpMgmt, &bytes)]);
     }
 
     /// Sends one request/response: a HEADERS frame and an END_STREAM DATA
     /// frame, tagged header/body, under attribution `attr`.
     fn send_message(
         &mut self,
+        tls: &mut TlsStream,
         sim: &mut Sim,
         stream_id: u32,
         headers: &[(String, String)],
         body: Vec<u8>,
-        attr: u32,
+        attr: u16,
     ) {
         let block = self.encoder.encode(headers);
         let headers_frame = Frame::Headers { stream_id, block, end_stream: false }.encode();
         let data_frame = Frame::Data { stream_id, data: body, end_stream: true }.encode();
-        self.tls.send_segments(
+        tls.send_segments(
             sim,
-            attr,
+            u32::from(attr),
             &[(LayerTag::HttpHeader, &headers_frame), (LayerTag::HttpBody, &data_frame)],
         );
     }
 
     /// Feeds received plaintext through the frame decoder, answering
-    /// management frames; returns `(stream id, DNS message)` for every
-    /// accepted stream plus the count of **all** completed streams —
-    /// rejected (non-200 / undecodable) ones included, so callers can
-    /// balance their in-flight bookkeeping like the h1 client does.
-    fn ingest(&mut self, sim: &mut Sim, plaintext: &[u8]) -> (Vec<(u32, Message)>, usize) {
+    /// management frames, and hands every completed stream to `each`:
+    /// its id and its DNS message, `None` when the stream was rejected
+    /// (non-200) or its body is no DNS message.
+    fn ingest(
+        &mut self,
+        tls: &mut TlsStream,
+        sim: &mut Sim,
+        plaintext: &[u8],
+        mut each: impl FnMut(u32, Option<Message>),
+    ) {
         self.frames.push(plaintext);
-        let mut messages = Vec::new();
-        let mut completed = 0usize;
         // A malformed frame (`Err`) poisons the connection: stop reading.
         while let Ok(Some(frame)) = self.frames.next_frame() {
             match frame {
                 Frame::Settings { ack: false, .. } => {
-                    self.send_mgmt(
-                        sim,
-                        false,
-                        &[Frame::Settings { params: Vec::new(), ack: true }],
-                    );
+                    let ack = Frame::Settings { params: Vec::new(), ack: true };
+                    H2::send_mgmt(tls, sim, false, &[ack]);
                 }
                 Frame::Settings { ack: true, .. } => {}
                 Frame::Headers { stream_id, block, .. } => {
@@ -162,17 +163,14 @@ impl H2Conn {
                     let body = self.bodies.entry(stream_id).or_default();
                     body.extend_from_slice(&data);
                     if end_stream {
-                        completed += 1;
                         let body = self.bodies.remove(&stream_id).unwrap_or_default();
-                        if !self.failed_streams.remove(&stream_id) {
-                            if let Ok(msg) = Message::decode(&body) {
-                                messages.push((stream_id, msg));
-                            }
-                        }
+                        let rejected = self.failed_streams.remove(&stream_id);
+                        let message = if rejected { None } else { Message::decode(&body).ok() };
+                        each(stream_id, message);
                     }
                 }
                 Frame::Ping { data, ack: false } => {
-                    self.send_mgmt(sim, false, &[Frame::Ping { data, ack: true }]);
+                    H2::send_mgmt(tls, sim, false, &[Frame::Ping { data, ack: true }]);
                 }
                 Frame::Ping { ack: true, .. }
                 | Frame::WindowUpdate { .. }
@@ -181,263 +179,95 @@ impl H2Conn {
                 | Frame::Unknown { .. } => {}
             }
         }
-        (messages, completed)
     }
 }
 
-/// A DoH client speaking HTTP/2 to one resolver.
-#[derive(Debug)]
-pub struct DohH2Client {
-    host: HostId,
-    server: (HostId, u16),
-    authority: String,
-    tls_cfg: TlsConfig,
-    policy: ReusePolicy,
-    conn_attr: u32,
-    conn: Option<H2Conn>,
-    /// Next client-initiated stream id (odd: 1, 3, 5, …).
-    next_stream_id: u32,
-    queued: Vec<(u16, Name)>,
-    /// Queries sent (or queued) whose response has not yet arrived; a
-    /// fresh connection tears down only once this drains.
-    inflight: usize,
-    responses: Vec<Message>,
-}
+impl Framing for H2 {
+    type Slot = u32;
 
-impl DohH2Client {
-    /// A client on `host` for `server`, usually `(resolver, 443)`. The
-    /// `authority` is the `:authority` pseudo-header (normally the SNI).
-    /// Setup attribution follows the same rules as
-    /// [`DotClient::new`](crate::DotClient::new).
-    pub fn new(
-        host: HostId,
-        server: (HostId, u16),
-        authority: &str,
-        tls_cfg: TlsConfig,
-        policy: ReusePolicy,
-        conn_attr: u32,
-    ) -> DohH2Client {
-        DohH2Client {
-            host,
-            server,
-            authority: authority.to_string(),
-            tls_cfg,
-            policy,
-            conn_attr,
-            conn: None,
-            next_stream_id: 1,
-            queued: Vec::new(),
-            inflight: 0,
-            responses: Vec::new(),
+    fn open(&mut self, tls: &mut TlsStream, sim: &mut Sim) {
+        if !self.started {
+            self.started = true;
+            let settings = Frame::Settings { params: CLIENT_SETTINGS.to_vec(), ack: false };
+            let window = Frame::WindowUpdate { stream_id: 0, increment: CLIENT_WINDOW_BUMP };
+            H2::send_mgmt(tls, sim, true, &[settings, window]);
         }
     }
 
-    /// Whether the client currently holds an established connection.
-    pub fn is_connected(&self) -> bool {
-        self.conn.as_ref().is_some_and(|c| c.tls.established())
+    fn send_query(&mut self, tls: &mut TlsStream, sim: &mut Sim, query: &Message, authority: &str) {
+        let body = query.encode();
+        let headers = owned(&[
+            (":method", "POST"),
+            (":scheme", "https"),
+            (":authority", authority),
+            (":path", DOH_PATH),
+            ("accept", DNS_MESSAGE),
+            ("content-type", DNS_MESSAGE),
+            ("content-length", &body.len().to_string()),
+        ]);
+        let stream_id = self.next_stream_id;
+        self.next_stream_id += 2;
+        self.send_message(tls, sim, stream_id, &headers, body, query.header.id);
     }
 
-    fn flush(&mut self, sim: &mut Sim) {
-        let Some(conn) = self.conn.as_mut() else { return };
-        if !conn.tls.established() {
-            return;
-        }
-        if !conn.started {
-            conn.started = true;
-            conn.send_mgmt(
-                sim,
-                true,
-                &[
-                    Frame::Settings { params: CLIENT_SETTINGS.to_vec(), ack: false },
-                    Frame::WindowUpdate { stream_id: 0, increment: CLIENT_WINDOW_BUMP },
-                ],
-            );
-        }
-        for (id, name) in self.queued.drain(..) {
-            let query = Message::query(id, &name, RecordType::A).encode();
-            let headers = owned(&[
-                (":method", "POST"),
-                (":scheme", "https"),
-                (":authority", &self.authority),
-                (":path", DOH_PATH),
-                ("accept", DNS_MESSAGE),
-                ("content-type", DNS_MESSAGE),
-                ("content-length", &query.len().to_string()),
-            ]);
-            let stream_id = self.next_stream_id;
-            self.next_stream_id += 2;
-            conn.send_message(sim, stream_id, &headers, query, u32::from(id));
-        }
-    }
-
-    /// Sends GOAWAY and closes the TCP connection, dropping local state
-    /// and abandoning queries that were still queued for it.
-    fn teardown(&mut self, sim: &mut Sim) {
-        self.queued.clear();
-        self.inflight = 0;
-        let Some(mut conn) = self.conn.take() else { return };
-        if conn.tls.established() && conn.started {
-            let last_stream_id = conn.last_peer_stream;
-            conn.send_mgmt(
-                sim,
-                false,
-                &[Frame::Goaway { last_stream_id, error_code: 0, debug: Vec::new() }],
-            );
-        }
-        sim.tcp_close(conn.tls.handle);
-    }
-
-    /// Sends the query and runs the simulation until its response arrives,
-    /// broadcasting every wake to `self` and `peer` — a two-endpoint
-    /// convenience; registry topologies use
-    /// [`Driver::resolve`](crate::Driver::resolve) instead.
-    pub fn resolve(
+    fn read_responses(
         &mut self,
+        tls: &mut TlsStream,
         sim: &mut Sim,
-        peer: &mut dyn Endpoint,
-        name: &Name,
-        id: u16,
-    ) -> Option<Message> {
-        crate::resolve_with_extras_impl(sim, self, peer, &mut [], name, id)
+        plaintext: &[u8],
+        answers: &mut Answers,
+    ) -> usize {
+        let mut completed = 0;
+        self.ingest(tls, sim, plaintext, |_, answer| {
+            completed += 1;
+            if let Some(answer) = answer {
+                answers.put(answer);
+            }
+        });
+        completed
     }
-}
 
-impl Resolver for DohH2Client {
-    fn send_query(&mut self, sim: &mut Sim, name: &Name, id: u16) {
-        let dead = self.conn.as_ref().is_some_and(|c| sim.tcp_has_failed(c.tls.handle));
-        if self.conn.is_none() || dead {
-            let attr = match self.policy {
-                ReusePolicy::Fresh => u32::from(id),
-                ReusePolicy::Persistent => self.conn_attr,
+    fn close(&mut self, tls: &mut TlsStream, sim: &mut Sim) {
+        if self.started {
+            let goaway = Frame::Goaway {
+                last_stream_id: self.last_peer_stream,
+                error_code: 0,
+                debug: Vec::new(),
             };
-            sim.set_attr(attr);
-            let handle = sim.tcp_connect(self.host, self.server);
-            self.conn = Some(H2Conn::new(TlsStream::new(handle, &self.tls_cfg, attr)));
-            self.next_stream_id = 1;
-            // Queries in flight on a dead connection are lost for good.
-            self.inflight = 0;
-        }
-        self.queued.push((id, name.clone()));
-        self.inflight += 1;
-        self.flush(sim);
-    }
-
-    fn take_response(&mut self, id: u16) -> Option<Message> {
-        let idx = self.responses.iter().position(|m| m.header.id == id)?;
-        Some(self.responses.remove(idx))
-    }
-
-    /// Graceful teardown: GOAWAY (NO_ERROR), then the TCP FIN.
-    fn close(&mut self, sim: &mut Sim) {
-        self.teardown(sim);
-    }
-}
-
-impl Endpoint for DohH2Client {
-    fn on_wake(&mut self, sim: &mut Sim, wake: &Wake) {
-        let Some(conn) = self.conn.as_mut() else { return };
-        match *wake {
-            Wake::TcpConnected { conn: handle, .. } if handle == conn.tls.handle => {
-                let _ = conn.tls.advance(sim, &[]);
-                self.flush(sim);
-            }
-            Wake::TcpReadable { conn: handle, .. } if handle == conn.tls.handle => {
-                let data = sim.tcp_recv(handle);
-                let was_established = conn.tls.established();
-                let plaintext = conn.tls.advance(sim, &data);
-                let (responses, completed) = conn.ingest(sim, &plaintext);
-                self.inflight = self.inflight.saturating_sub(completed);
-                self.responses.extend(responses.into_iter().map(|(_, msg)| msg));
-                if !was_established && conn.tls.established() {
-                    self.flush(sim);
-                }
-                if completed > 0 && self.inflight == 0 && self.policy == ReusePolicy::Fresh {
-                    // Cold connections are one-shot: GOAWAY + FIN once
-                    // every outstanding answer has arrived.
-                    self.teardown(sim);
-                }
-            }
-            Wake::TcpFin { conn: handle, .. } if handle == conn.tls.handle => {
-                sim.tcp_close(handle);
-                self.conn = None;
-            }
-            _ => {}
+            H2::send_mgmt(tls, sim, false, &[goaway]);
         }
     }
-}
 
-/// A DoH/2 server answering from a pluggable [`ServerBackend`] —
-/// authoritative zone data or a shared caching recursive resolver.
-#[derive(Debug)]
-pub struct DohH2Server {
-    listener: ListenerId,
-    tls_cfg: TlsConfig,
-    backend: ServerBackend,
-    /// Keyed lookup only (the wake's own handle) — never iterated, so
-    /// the randomized order is unobservable (no-unordered-iteration).
-    conns: HashMap<TcpHandle, H2ServerConn>,
-    /// Parked queries: waiter token → (connection, stream) expecting the
-    /// answer. Streams multiplex, so — unlike h1 — a parked stream never
-    /// blocks a cache hit on another stream of the same connection.
-    /// Keyed lookup only: drained in the backend's completion order.
-    waiters: HashMap<u64, (TcpHandle, u32)>,
-    next_waiter: u64,
-}
-
-/// Server-side connection: shared h2 state plus preface stripping.
-#[derive(Debug)]
-struct H2ServerConn {
-    h2: H2Conn,
-    /// Client-preface bytes still expected before frames begin.
-    preface_left: usize,
-}
-
-impl DohH2Server {
-    /// Listens on `(host, port)` answering every query with one fixed A
-    /// record `answer`/`ttl`.
-    pub fn bind(
+    fn read_queries(
+        &mut self,
+        tls: &mut TlsStream,
         sim: &mut Sim,
-        host: HostId,
-        port: u16,
-        tls_cfg: TlsConfig,
-        answer: Ipv4Addr,
-        ttl: u32,
-    ) -> DohH2Server {
-        DohH2Server::bind_with(sim, host, port, tls_cfg, ServerBackend::fixed(answer, ttl))
-    }
-
-    /// Listens on `(host, port)` answering from `backend`.
-    pub fn bind_with(
-        sim: &mut Sim,
-        host: HostId,
-        port: u16,
-        tls_cfg: TlsConfig,
-        backend: ServerBackend,
-    ) -> DohH2Server {
-        let listener = sim.tcp_listen(host, port);
-        DohH2Server {
-            listener,
-            tls_cfg,
-            backend,
-            conns: HashMap::new(),
-            waiters: HashMap::new(),
-            next_waiter: 1,
+        plaintext: &[u8],
+    ) -> Vec<(u32, Message)> {
+        let skip = self.preface_left.min(plaintext.len());
+        self.preface_left -= skip;
+        if !self.started && self.preface_left == 0 {
+            // The preface has arrived: announce our SETTINGS once.
+            self.started = true;
+            let settings = Frame::Settings { params: SERVER_SETTINGS.to_vec(), ack: false };
+            H2::send_mgmt(tls, sim, false, &[settings]);
         }
+        let mut queries = Vec::new();
+        self.ingest(tls, sim, &plaintext[skip..], |stream_id, query| {
+            queries.extend(query.map(|q| (stream_id, q)));
+        });
+        queries
     }
 
-    /// Established-and-open connection count (for tests and reports).
-    pub fn open_connections(&self) -> usize {
-        self.conns.len()
-    }
-
-    /// The backend's cache statistics, if it has a cache.
-    pub fn cache_stats(&self) -> Option<crate::cache::CacheStats> {
-        self.backend.cache_stats()
-    }
-
-    /// Sends `response` on `stream_id` of `handle` with 200 headers,
-    /// charged to the response's transaction id.
-    fn send_response(conn: &mut H2ServerConn, sim: &mut Sim, stream_id: u32, response: &Message) {
+    /// Answers on the stream the query arrived on, charged to the
+    /// response's transaction id.
+    fn send_response(
+        &mut self,
+        tls: &mut TlsStream,
+        sim: &mut Sim,
+        stream_id: u32,
+        response: Message,
+    ) {
         let body = response.encode();
         let headers = owned(&[
             (":status", "200"),
@@ -445,122 +275,71 @@ impl DohH2Server {
             ("content-length", &body.len().to_string()),
             ("server", "dohmark"),
         ]);
-        conn.h2.send_message(sim, stream_id, &headers, body, u32::from(response.header.id));
-    }
-}
-
-impl Endpoint for DohH2Server {
-    fn on_wake(&mut self, sim: &mut Sim, wake: &Wake) {
-        // Upstream completions first: each answer goes out on the stream
-        // its query arrived on (dropped if the connection is gone).
-        for (waiter, response) in self.backend.poll(sim, wake) {
-            let Some((handle, stream_id)) = self.waiters.remove(&waiter) else { continue };
-            if let Some(conn) = self.conns.get_mut(&handle) {
-                DohH2Server::send_response(conn, sim, stream_id, &response);
-            }
-        }
-        match *wake {
-            Wake::TcpAccepted { listener, conn: handle, .. } if listener == self.listener => {
-                let attr = sim.attr();
-                self.conns.insert(
-                    handle,
-                    H2ServerConn {
-                        h2: H2Conn::new(TlsStream::new(handle, &self.tls_cfg, attr)),
-                        preface_left: PREFACE.len(),
-                    },
-                );
-            }
-            Wake::TcpReadable { conn: handle, .. } if handle.side == Side::Server => {
-                let Some(conn) = self.conns.get_mut(&handle) else { return };
-                let data = sim.tcp_recv(handle);
-                let plaintext = conn.h2.tls.advance(sim, &data);
-                let skip = conn.preface_left.min(plaintext.len());
-                conn.preface_left -= skip;
-                if !conn.h2.started && conn.preface_left == 0 {
-                    // The preface has arrived: announce our SETTINGS once.
-                    conn.h2.started = true;
-                    conn.h2.send_mgmt(
-                        sim,
-                        false,
-                        &[Frame::Settings { params: SERVER_SETTINGS.to_vec(), ack: false }],
-                    );
-                }
-                let (queries, _) = conn.h2.ingest(sim, &plaintext[skip..]);
-                for (stream_id, query) in queries {
-                    let waiter = self.next_waiter;
-                    self.next_waiter += 1;
-                    match self.backend.answer(sim, &query, waiter) {
-                        Some(response) => {
-                            let conn = self.conns.get_mut(&handle).expect("conn is live");
-                            // Respond on the stream the query arrived on.
-                            DohH2Server::send_response(conn, sim, stream_id, &response);
-                        }
-                        None => {
-                            self.waiters.insert(waiter, (handle, stream_id));
-                        }
-                    }
-                }
-            }
-            Wake::TcpFin { conn: handle, .. }
-                if handle.side == Side::Server && self.conns.remove(&handle).is_some() =>
-            {
-                sim.tcp_close(handle);
-            }
-            _ => {}
-        }
+        self.send_message(tls, sim, stream_id, &headers, body, response.header.id);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dohmark_netsim::LinkConfig;
-    use dohmark_tls_model::{handshake_bytes, ALPN_H2};
-    use std::net::Ipv4Addr;
+    use crate::stream::tests::{lifecycle_tests, name, pair, pump, resolve, TestFraming};
+    use crate::transport::tests::{driven, localhost};
+    use crate::{Resolver, ReusePolicy, TransportKind};
+    use dohmark_dns_wire::{Name, RecordType};
+    use dohmark_tls_model::handshake_bytes;
 
-    fn h2_tls() -> TlsConfig {
-        TlsConfig::for_server("dns.example.net").alpn(ALPN_H2)
+    impl TestFraming for H2 {
+        const KIND: TransportKind = TransportKind::DohH2;
+
+        /// `:status 500` with a DNS-shaped body.
+        fn send_rejection(
+            &mut self,
+            tls: &mut TlsStream,
+            sim: &mut Sim,
+            stream_id: u32,
+            query: &Message,
+        ) {
+            let body = Message::fixed_a_response(query, std::net::Ipv4Addr::new(192, 0, 2, 7), 60)
+                .encode();
+            let headers = owned(&[
+                (":status", "500"),
+                ("content-type", DNS_MESSAGE),
+                ("content-length", &body.len().to_string()),
+            ]);
+            self.send_message(tls, sim, stream_id, &headers, body, query.header.id);
+        }
     }
 
-    fn setup(seed: u64, policy: ReusePolicy) -> (Sim, DohH2Client, DohH2Server) {
-        let mut sim = Sim::new(seed);
-        let stub = sim.add_host("stub");
-        let resolver = sim.add_host("resolver");
-        sim.add_link(stub, resolver, LinkConfig::localhost());
-        let server =
-            DohH2Server::bind(&mut sim, resolver, 443, h2_tls(), Ipv4Addr::new(192, 0, 2, 7), 300);
-        let client =
-            DohH2Client::new(stub, (resolver, 443), "dns.example.net", h2_tls(), policy, 0);
-        (sim, client, server)
-    }
+    lifecycle_tests!(H2);
 
     #[test]
     fn cold_resolution_pays_handshake_mgmt_headers_and_body() {
-        let (mut sim, mut client, mut server) = setup(1, ReusePolicy::Fresh);
-        let name = Name::parse("abcdefgh.dohmark.test").unwrap();
-        let response = client.resolve(&mut sim, &mut server, &name, 1).unwrap();
-        assert_eq!(response.answers[0].name, name);
-        crate::drain_endpoints_impl(&mut sim, &mut [&mut client, &mut server]);
+        let cfg = localhost(TransportKind::DohH2, ReusePolicy::Fresh);
+        let (mut sim, mut client, mut server) = pair::<H2>(&cfg, 1);
+        let response = resolve(&mut sim, &mut client, &mut server, &name(), 1).unwrap();
+        assert_eq!(response.answers[0].name, name());
+        pump(&mut sim, &mut client, &mut server);
         let cost = sim.meter.cost(1);
         // Preface + SETTINGS both ways + ACKs + WINDOW_UPDATE + GOAWAY.
         assert!(cost.layers.http_mgmt > 100, "mgmt bytes {}", cost.layers.http_mgmt);
         // Bodies: the DNS messages plus one 9-byte DATA frame header each.
-        let query_len = Message::query(1, &name, RecordType::A).encode().len() as u64;
+        let query_len = Message::query(1, &name(), RecordType::A).encode().len() as u64;
         let resp_len = response.encode().len() as u64;
         assert_eq!(cost.layers.http_body, query_len + resp_len + 2 * 9);
         // HPACK-compressed headers beat h1 text but are still present.
         assert!(cost.layers.http_header > 2 * 9, "header bytes {}", cost.layers.http_header);
-        assert!(cost.layers.tls >= handshake_bytes(&h2_tls()) as u64);
+        assert!(cost.layers.tls >= handshake_bytes(&cfg.tls().unwrap()) as u64);
         assert!(!client.is_connected(), "cold connection must close");
         assert_eq!(server.open_connections(), 0, "server saw the FIN");
     }
 
     #[test]
     fn persistent_hpack_shrinks_headers_after_the_first_query() {
-        let (mut sim, mut client, mut server) = setup(2, ReusePolicy::Persistent);
-        let name_gen = |i: u64| Name::parse(&format!("abcdefg{i}.dohmark.test")).unwrap();
+        let (mut sim, mut client, mut server) =
+            pair::<H2>(&localhost(TransportKind::DohH2, ReusePolicy::Persistent), 2);
+        let name_gen = |i: u16| Name::parse(&format!("abcdefg{i}.dohmark.test")).unwrap();
         for id in 1..=4u16 {
-            client.resolve(&mut sim, &mut server, &name_gen(u64::from(id)), id).unwrap();
+            resolve(&mut sim, &mut client, &mut server, &name_gen(id), id).unwrap();
         }
         assert!(client.is_connected());
         sim.drain();
@@ -578,12 +357,12 @@ mod tests {
 
     #[test]
     fn close_sends_goaway_then_fin() {
-        let (mut sim, mut client, mut server) = setup(3, ReusePolicy::Persistent);
-        let name = Name::parse("abcdefgh.dohmark.test").unwrap();
-        client.resolve(&mut sim, &mut server, &name, 1).unwrap();
+        let (mut sim, mut client, mut server) =
+            pair::<H2>(&localhost(TransportKind::DohH2, ReusePolicy::Persistent), 3);
+        resolve(&mut sim, &mut client, &mut server, &name(), 1).unwrap();
         let mgmt_before = sim.meter.cost(0).layers.http_mgmt;
         client.close(&mut sim);
-        crate::drain_endpoints_impl(&mut sim, &mut [&mut client, &mut server]);
+        pump(&mut sim, &mut client, &mut server);
         // GOAWAY: 9-byte frame header + 8-byte payload, plus TLS framing.
         assert_eq!(sim.meter.cost(0).layers.http_mgmt, mgmt_before + 17);
         assert!(!client.is_connected());
@@ -592,91 +371,27 @@ mod tests {
 
     #[test]
     fn streams_use_odd_ids_and_parallel_queries_resolve() {
-        let (mut sim, mut client, mut server) = setup(4, ReusePolicy::Persistent);
-        let name = Name::parse("abcdefgh.dohmark.test").unwrap();
+        let (mut sim, mut client, mut server) =
+            pair::<H2>(&localhost(TransportKind::DohH2, ReusePolicy::Persistent), 4);
         // Launch three queries back-to-back before any response arrives.
         for id in 1..=3u16 {
-            client.send_query(&mut sim, &name, id);
+            client.send_query(&mut sim, &name(), id);
         }
-        crate::drain_endpoints_impl(&mut sim, &mut [&mut client, &mut server]);
+        pump(&mut sim, &mut client, &mut server);
         for id in 1..=3u16 {
             assert!(client.take_response(id).is_some(), "id {id}");
         }
-        assert_eq!(client.next_stream_id, 7, "streams 1, 3, 5 were used");
-    }
-
-    #[test]
-    fn non_200_responses_are_not_dns_answers() {
-        // A hand-rolled server that answers every query with :status 500
-        // and a DNS-shaped body; the client must not surface it (the h1
-        // client's explicit status check, mirrored on h2) — but the
-        // rejected response still completes the stream, so a Fresh
-        // connection must tear down rather than linger.
-        let mut sim = Sim::new(21);
-        let stub = sim.add_host("stub");
-        let resolver = sim.add_host("resolver");
-        sim.add_link(stub, resolver, dohmark_netsim::LinkConfig::localhost());
-        let listener = sim.tcp_listen(resolver, 443);
-        let mut client = DohH2Client::new(
-            stub,
-            (resolver, 443),
-            "dns.example.net",
-            h2_tls(),
-            ReusePolicy::Fresh,
-            0,
-        );
-        let name = Name::parse("abcdefgh.dohmark.test").unwrap();
-        client.send_query(&mut sim, &name, 1);
-        let mut server_conn: Option<H2Conn> = None;
-        let mut preface_left = PREFACE.len();
-        while let Some(wake) = sim.next_wake() {
-            client.on_wake(&mut sim, &wake);
-            match wake {
-                Wake::TcpAccepted { listener: l, conn: handle, .. } if l == listener => {
-                    let attr = sim.attr();
-                    server_conn = Some(H2Conn::new(TlsStream::new(handle, &h2_tls(), attr)));
-                }
-                Wake::TcpReadable { conn: handle, .. } if handle.side == Side::Server => {
-                    let Some(conn) = server_conn.as_mut() else { continue };
-                    let data = sim.tcp_recv(handle);
-                    let plaintext = conn.tls.advance(&mut sim, &data);
-                    let skip = preface_left.min(plaintext.len());
-                    preface_left -= skip;
-                    let (queries, _) = conn.ingest(&mut sim, &plaintext[skip..]);
-                    for (stream_id, query) in queries {
-                        let body =
-                            Message::fixed_a_response(&query, Ipv4Addr::new(192, 0, 2, 7), 60)
-                                .encode();
-                        let headers = owned(&[
-                            (":status", "500"),
-                            ("content-type", DNS_MESSAGE),
-                            ("content-length", &body.len().to_string()),
-                        ]);
-                        conn.send_message(
-                            &mut sim,
-                            stream_id,
-                            &headers,
-                            body,
-                            u32::from(query.header.id),
-                        );
-                    }
-                }
-                _ => {}
-            }
-        }
-        assert!(client.take_response(1).is_none(), "a 500 must not count as an answer");
-        // The rejected response still drained the in-flight count: the
-        // fresh connection was torn down, not left open for reuse.
-        assert!(!client.is_connected(), "fresh connection must close after a 500");
+        let h2 = client.framing().expect("connection is open");
+        assert_eq!(h2.next_stream_id, 7, "streams 1, 3, 5 were used");
     }
 
     #[test]
     fn identical_seeds_reproduce_identical_h2_costs() {
         let run = |seed: u64| {
-            let (mut sim, mut client, mut server) = setup(seed, ReusePolicy::Persistent);
-            let name = Name::parse("abcdefgh.dohmark.test").unwrap();
+            let (mut sim, mut driver, client) =
+                driven(&localhost(TransportKind::DohH2, ReusePolicy::Persistent), seed);
             for id in 1..=3u16 {
-                client.resolve(&mut sim, &mut server, &name, id).unwrap();
+                driver.resolve(&mut sim, client, &name(), id).unwrap();
             }
             sim.drain();
             (sim.meter.total(), sim.now())

@@ -1,431 +1,155 @@
-//! DNS over TLS (DoT, RFC 7858) client and server.
-//!
-//! Wire shape, byte for byte what a real DoT stack produces:
-//!
-//! * TCP to port 853 (simulated by `netsim::tcp`, so SYN options, ACKs and
-//!   retransmissions are all charged).
-//! * The TLS handshake flights of the configured [`TlsConfig`], sent as
-//!   opaque byte bursts tagged [`LayerTag::Tls`].
-//! * Application data framed into TLS records: the 5-byte
-//!   record header and
-//!   16-byte AEAD tag are tagged `Tls`, the carried plaintext — the
-//!   RFC 7766 2-byte length prefix plus the DNS message, which the paper
-//!   counts as DNS — is tagged
-//!   [`LayerTag::DnsPayload`](dohmark_netsim::LayerTag).
-//!
-//! The [`ReusePolicy`] decides whether each resolution pays the full
-//! TCP+TLS setup ([`ReusePolicy::Fresh`], the paper's cold case) or shares
-//! one long-lived connection ([`ReusePolicy::Persistent`], which amortises
-//! the handshake to near-zero per-resolution overhead).
+//! DNS over TLS (DoT, RFC 7858) framing: each message carries the RFC 7766
+//! 2-byte length prefix. The prefix and the message — which the paper
+//! counts as DNS — are tagged [`LayerTag::DnsPayload`].
 
-use crate::resolver::ServerBackend;
+use crate::stream::{Answers, Framing};
 use crate::tls_stream::TlsStream;
-use crate::{Endpoint, Resolver};
-use dohmark_dns_wire::{Message, Name, RecordType};
-use dohmark_netsim::{HostId, LayerTag, ListenerId, Side, Sim, TcpHandle, Wake};
-use dohmark_tls_model::TlsConfig;
-use std::collections::HashMap;
-use std::net::Ipv4Addr;
+use dohmark_dns_wire::Message;
+use dohmark_netsim::{LayerTag, Sim};
 
-/// Connection-reuse policy of a TLS-based client (DoT or DoH).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReusePolicy {
-    /// Open a fresh connection per query and close it after the response —
-    /// every resolution pays the whole TCP + TLS handshake (the paper's
-    /// cold-connection case).
-    Fresh,
-    /// Keep one connection open and pipeline all queries over it — the
-    /// handshake is paid once and amortised (the paper's persistent case).
-    Persistent,
-}
-
-impl ReusePolicy {
-    /// Short lowercase label (`fresh` / `persistent`) used in cell labels
-    /// and result-table keys.
-    pub fn label(self) -> &'static str {
-        match self {
-            ReusePolicy::Fresh => "fresh",
-            ReusePolicy::Persistent => "persistent",
-        }
-    }
-}
-
-/// Extracts complete RFC 7766 2-byte-length-prefixed DNS messages from
-/// the front of `buf`; undecodable payloads are skipped, exactly like a
-/// real resolver drops garbage.
-fn drain_prefixed_messages(buf: &mut Vec<u8>) -> Vec<Message> {
-    let mut messages = Vec::new();
-    while buf.len() >= 2 {
-        let len = usize::from(u16::from_be_bytes([buf[0], buf[1]]));
-        if buf.len() < 2 + len {
-            break;
-        }
-        if let Ok(msg) = Message::decode(&buf[2..2 + len]) {
-            messages.push(msg);
-        }
-        buf.drain(..2 + len);
-    }
-    messages
-}
-
-/// A DoT connection: the shared TLS stream plus length-prefix reassembly.
-#[derive(Debug)]
-struct DotConn {
-    tls: TlsStream,
+/// A DoT connection's length-prefix reassembly buffer.
+#[derive(Debug, Default)]
+pub(crate) struct Dot {
     rx: Vec<u8>,
 }
 
-impl DotConn {
-    fn new(tls: TlsStream) -> DotConn {
-        DotConn { tls, rx: Vec::new() }
-    }
-
-    fn advance(&mut self, sim: &mut Sim, incoming: &[u8]) -> Vec<Message> {
-        let plaintext = self.tls.advance(sim, incoming);
-        self.rx.extend_from_slice(&plaintext);
-        drain_prefixed_messages(&mut self.rx)
-    }
-
-    /// Seals `message` (with its 2-byte length prefix) into TLS records,
-    /// attributing the record framing to `Tls` and the prefixed DNS bytes
-    /// to `DnsPayload`, all under attribution `attr`.
-    fn send_message(&mut self, sim: &mut Sim, message: &Message, attr: u32) {
+impl Dot {
+    /// Seals `message` with its length prefix, charged to its
+    /// transaction id.
+    fn send(tls: &mut TlsStream, sim: &mut Sim, message: &Message) {
         let wire = message.encode();
         let mut plaintext = Vec::with_capacity(2 + wire.len());
         plaintext.extend_from_slice(&(wire.len() as u16).to_be_bytes());
         plaintext.extend_from_slice(&wire);
-        self.tls.send_segments(sim, attr, &[(LayerTag::DnsPayload, &plaintext)]);
+        tls.send_segments(sim, u32::from(message.header.id), &[(LayerTag::DnsPayload, &plaintext)]);
+    }
+
+    /// Buffers `plaintext` and hands every complete frame's payload to
+    /// `each`, decoded — `None` when it is no DNS message.
+    fn read_frames(&mut self, plaintext: &[u8], mut each: impl FnMut(Option<Message>)) {
+        self.rx.extend_from_slice(plaintext);
+        let mut at = 0;
+        while let Some(prefix) = self.rx.get(at..at + 2) {
+            let end = at + 2 + usize::from(u16::from_be_bytes([prefix[0], prefix[1]]));
+            let Some(payload) = self.rx.get(at + 2..end) else { break };
+            each(Message::decode(payload).ok());
+            at = end;
+        }
+        self.rx.drain(..at);
     }
 }
 
-/// A DoT client resolving names against one server.
-#[derive(Debug)]
-pub struct DotClient {
-    host: HostId,
-    server: (HostId, u16),
-    tls_cfg: TlsConfig,
-    policy: ReusePolicy,
-    /// Attribution for connection setup under [`ReusePolicy::Persistent`];
-    /// fresh connections charge setup to the resolution that opened them.
-    conn_attr: u32,
-    conn: Option<DotConn>,
-    /// Queries accepted before the connection established.
-    queued: Vec<(u16, Name)>,
-    /// Queries sent (or queued) whose response has not yet arrived; a
-    /// fresh connection closes only once this drains, so pipelining
-    /// several queries onto one cold connection loses none of them.
-    inflight: usize,
-    responses: Vec<Message>,
-}
+impl Framing for Dot {
+    type Slot = ();
 
-impl DotClient {
-    /// A client on `host` for `server`, usually `(resolver, 853)`.
-    ///
-    /// Under [`ReusePolicy::Persistent`] the TCP+TLS setup bytes are
-    /// attributed to `conn_attr`; under [`ReusePolicy::Fresh`] each
-    /// resolution's setup is attributed to its own transaction id.
-    pub fn new(
-        host: HostId,
-        server: (HostId, u16),
-        tls_cfg: TlsConfig,
-        policy: ReusePolicy,
-        conn_attr: u32,
-    ) -> DotClient {
-        DotClient {
-            host,
-            server,
-            tls_cfg,
-            policy,
-            conn_attr,
-            conn: None,
-            queued: Vec::new(),
-            inflight: 0,
-            responses: Vec::new(),
-        }
+    fn send_query(&mut self, tls: &mut TlsStream, sim: &mut Sim, query: &Message, _: &str) {
+        Dot::send(tls, sim, query);
     }
 
-    fn flush(&mut self, sim: &mut Sim) {
-        let Some(conn) = self.conn.as_mut() else { return };
-        if !conn.tls.established() {
-            return;
-        }
-        for (id, name) in self.queued.drain(..) {
-            let query = Message::query(id, &name, RecordType::A);
-            conn.send_message(sim, &query, u32::from(id));
-        }
-    }
-
-    /// Whether the client currently holds an established connection.
-    pub fn is_connected(&self) -> bool {
-        self.conn.as_ref().is_some_and(|c| c.tls.established())
-    }
-
-    /// Sends the query and runs the simulation until its response arrives,
-    /// broadcasting every wake to `self` and `peer` — a two-endpoint
-    /// convenience; registry topologies use
-    /// [`Driver::resolve`](crate::Driver::resolve) instead.
-    pub fn resolve(
+    fn read_responses(
         &mut self,
-        sim: &mut Sim,
-        peer: &mut dyn Endpoint,
-        name: &Name,
-        id: u16,
-    ) -> Option<Message> {
-        crate::resolve_with_extras_impl(sim, self, peer, &mut [], name, id)
-    }
-}
-
-impl Resolver for DotClient {
-    /// Queues an A query for `name` with transaction id `id`, opening a
-    /// connection if none is usable. The query is transmitted as soon as
-    /// the TLS handshake completes (immediately, when already established).
-    fn send_query(&mut self, sim: &mut Sim, name: &Name, id: u16) {
-        let dead = self.conn.as_ref().is_some_and(|c| sim.tcp_has_failed(c.tls.handle));
-        if self.conn.is_none() || dead {
-            let attr = match self.policy {
-                ReusePolicy::Fresh => u32::from(id),
-                ReusePolicy::Persistent => self.conn_attr,
-            };
-            sim.set_attr(attr);
-            let handle = sim.tcp_connect(self.host, self.server);
-            self.conn = Some(DotConn::new(TlsStream::new(handle, &self.tls_cfg, attr)));
-            // Queries in flight on a dead connection are lost for good
-            // (no application retries are modelled).
-            self.inflight = 0;
-        }
-        self.queued.push((id, name.clone()));
-        self.inflight += 1;
-        self.flush(sim);
-    }
-
-    fn take_response(&mut self, id: u16) -> Option<Message> {
-        let idx = self.responses.iter().position(|m| m.header.id == id)?;
-        Some(self.responses.remove(idx))
-    }
-
-    /// Closes the current connection, if any (TCP FIN), abandoning
-    /// queries that were still queued for it.
-    fn close(&mut self, sim: &mut Sim) {
-        self.queued.clear();
-        self.inflight = 0;
-        if let Some(conn) = self.conn.take() {
-            sim.tcp_close(conn.tls.handle);
-        }
-    }
-}
-
-impl Endpoint for DotClient {
-    fn on_wake(&mut self, sim: &mut Sim, wake: &Wake) {
-        let Some(conn) = self.conn.as_mut() else { return };
-        match *wake {
-            Wake::TcpConnected { conn: handle, .. } if handle == conn.tls.handle => {
-                // TCP is up: kick off the TLS handshake (ClientHello).
-                let _ = conn.advance(sim, &[]);
-                self.flush(sim);
+        _tls: &mut TlsStream,
+        _sim: &mut Sim,
+        plaintext: &[u8],
+        answers: &mut Answers,
+    ) -> usize {
+        let mut completed = 0;
+        self.read_frames(plaintext, |answer| {
+            completed += 1;
+            if let Some(answer) = answer {
+                answers.put(answer);
             }
-            Wake::TcpReadable { conn: handle, .. } if handle == conn.tls.handle => {
-                let data = sim.tcp_recv(handle);
-                let was_established = conn.tls.established();
-                let responses = conn.advance(sim, &data);
-                self.inflight = self.inflight.saturating_sub(responses.len());
-                self.responses.extend(responses);
-                if !was_established && conn.tls.established() {
-                    self.flush(sim);
-                }
-                if self.inflight == 0 && self.policy == ReusePolicy::Fresh {
-                    // Cold connections are one-shot: close once every
-                    // outstanding answer has arrived.
-                    let handle = self.conn.take().expect("conn is live").tls.handle;
-                    sim.tcp_close(handle);
-                }
-            }
-            Wake::TcpFin { conn: handle, .. } if handle == conn.tls.handle => {
-                // Server closed on us; drop the connection state so the
-                // next query reconnects.
-                sim.tcp_close(handle);
-                self.conn = None;
-            }
-            _ => {}
-        }
-    }
-}
-
-/// A DoT server answering from a pluggable [`ServerBackend`] —
-/// authoritative zone data or a shared caching recursive resolver.
-#[derive(Debug)]
-pub struct DotServer {
-    listener: ListenerId,
-    tls_cfg: TlsConfig,
-    backend: ServerBackend,
-    /// Keyed lookup only (the wake's own handle) — never iterated, so
-    /// the randomized order is unobservable (no-unordered-iteration).
-    conns: HashMap<TcpHandle, DotConn>,
-    /// Parked queries: waiter token → the connection expecting the answer.
-    /// Keyed lookup only: drained in the backend's completion order.
-    waiters: HashMap<u64, TcpHandle>,
-    next_waiter: u64,
-}
-
-impl DotServer {
-    /// Listens on `(host, port)` answering every query with one fixed A
-    /// record `answer`/`ttl`. The TLS config must match the clients' (both
-    /// ends of the byte model derive flight sizes from it).
-    pub fn bind(
-        sim: &mut Sim,
-        host: HostId,
-        port: u16,
-        tls_cfg: TlsConfig,
-        answer: Ipv4Addr,
-        ttl: u32,
-    ) -> DotServer {
-        DotServer::bind_with(sim, host, port, tls_cfg, ServerBackend::fixed(answer, ttl))
+        });
+        completed
     }
 
-    /// Listens on `(host, port)` answering from `backend`.
-    pub fn bind_with(
-        sim: &mut Sim,
-        host: HostId,
-        port: u16,
-        tls_cfg: TlsConfig,
-        backend: ServerBackend,
-    ) -> DotServer {
-        let listener = sim.tcp_listen(host, port);
-        DotServer {
-            listener,
-            tls_cfg,
-            backend,
-            conns: HashMap::new(),
-            waiters: HashMap::new(),
-            next_waiter: 1,
-        }
+    fn read_queries(
+        &mut self,
+        _tls: &mut TlsStream,
+        _sim: &mut Sim,
+        plaintext: &[u8],
+    ) -> Vec<((), Message)> {
+        let mut queries = Vec::new();
+        // Undecodable queries are dropped, like a real resolver drops
+        // garbage.
+        self.read_frames(plaintext, |query| queries.extend(query.map(|q| ((), q))));
+        queries
     }
 
-    /// Established-and-open connection count (for tests and reports).
-    pub fn open_connections(&self) -> usize {
-        self.conns.len()
-    }
-
-    /// The backend's cache statistics, if it has a cache.
-    pub fn cache_stats(&self) -> Option<crate::cache::CacheStats> {
-        self.backend.cache_stats()
-    }
-}
-
-impl Endpoint for DotServer {
-    fn on_wake(&mut self, sim: &mut Sim, wake: &Wake) {
-        // Upstream completions first: answers for queries parked by a
-        // recursive backend go out on the connection they arrived on
-        // (silently dropped if that connection is gone — like a real
-        // resolver whose client hung up mid-recursion).
-        for (waiter, response) in self.backend.poll(sim, wake) {
-            let Some(handle) = self.waiters.remove(&waiter) else { continue };
-            if let Some(conn) = self.conns.get_mut(&handle) {
-                conn.send_message(sim, &response, u32::from(response.header.id));
-            }
-        }
-        match *wake {
-            Wake::TcpAccepted { listener, conn: handle, .. } if listener == self.listener => {
-                // Setup bytes we send are charged to whatever attribution
-                // the connecting client's setup used (current attr).
-                let attr = sim.attr();
-                self.conns
-                    .insert(handle, DotConn::new(TlsStream::new(handle, &self.tls_cfg, attr)));
-            }
-            Wake::TcpReadable { conn: handle, .. } if handle.side == Side::Server => {
-                let Some(conn) = self.conns.get_mut(&handle) else { return };
-                let data = sim.tcp_recv(handle);
-                for query in conn.advance(sim, &data) {
-                    let waiter = self.next_waiter;
-                    self.next_waiter += 1;
-                    match self.backend.answer(sim, &query, waiter) {
-                        Some(response) => {
-                            let conn = self.conns.get_mut(&handle).expect("conn is live");
-                            conn.send_message(sim, &response, u32::from(query.header.id));
-                        }
-                        None => {
-                            self.waiters.insert(waiter, handle);
-                        }
-                    }
-                }
-            }
-            Wake::TcpFin { conn: handle, .. }
-                if handle.side == Side::Server && self.conns.remove(&handle).is_some() =>
-            {
-                sim.tcp_close(handle);
-            }
-            _ => {}
-        }
+    fn send_response(&mut self, tls: &mut TlsStream, sim: &mut Sim, _: (), response: Message) {
+        Dot::send(tls, sim, &response);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dohmark_netsim::LinkConfig;
+    use crate::stream::tests::{lifecycle_tests, name, pair, pump, resolve, TestFraming};
+    use crate::transport::tests::{driven, localhost};
+    use crate::{ReusePolicy, TransportKind};
+    use dohmark_dns_wire::RecordType;
     use dohmark_tls_model::handshake_bytes;
-    use std::net::Ipv4Addr;
 
-    fn dot_tls() -> TlsConfig {
-        TlsConfig::for_server("dns.example.net").alpn("dot")
+    impl TestFraming for Dot {
+        const KIND: TransportKind = TransportKind::Dot;
+
+        /// A length-prefixed payload too short to be a DNS header.
+        fn send_rejection(&mut self, tls: &mut TlsStream, sim: &mut Sim, _: (), query: &Message) {
+            let garbled = [0, 5, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF];
+            tls.send_segments(sim, u32::from(query.header.id), &[(LayerTag::DnsPayload, &garbled)]);
+        }
     }
 
-    fn setup(seed: u64, policy: ReusePolicy) -> (Sim, DotClient, DotServer) {
-        let mut sim = Sim::new(seed);
-        let stub = sim.add_host("stub");
-        let resolver = sim.add_host("resolver");
-        sim.add_link(stub, resolver, LinkConfig::localhost());
-        let server =
-            DotServer::bind(&mut sim, resolver, 853, dot_tls(), Ipv4Addr::new(192, 0, 2, 7), 300);
-        let client = DotClient::new(stub, (resolver, 853), dot_tls(), policy, 0);
-        (sim, client, server)
+    lifecycle_tests!(Dot);
+
+    fn dot_tls_bytes() -> u64 {
+        let cfg = localhost(TransportKind::Dot, ReusePolicy::Fresh);
+        handshake_bytes(&cfg.tls().unwrap()) as u64
     }
 
     #[test]
     fn cold_resolution_answers_and_charges_the_handshake() {
-        let (mut sim, mut client, mut server) = setup(1, ReusePolicy::Fresh);
-        let name = Name::parse("abcdefgh.dohmark.test").unwrap();
-        let response = client.resolve(&mut sim, &mut server, &name, 1).unwrap();
-        assert_eq!(response.answers[0].name, name);
-        sim.drain();
+        let (mut sim, mut driver, client) =
+            driven(&localhost(TransportKind::Dot, ReusePolicy::Fresh), 1);
+        let response = driver.resolve(&mut sim, client, &name(), 1).unwrap();
+        assert_eq!(response.answers[0].name, name());
+        driver.run_until_quiescent(&mut sim);
         let cost = sim.meter.cost(1);
         // The resolution paid the whole TLS handshake plus two sealed
         // records (21 B overhead each way).
-        let hs = handshake_bytes(&dot_tls()) as u64;
-        assert_eq!(cost.layers.tls, hs + 2 * 21);
+        assert_eq!(cost.layers.tls, dot_tls_bytes() + 2 * 21);
         // DNS bytes: 2-byte prefix + message, each way.
-        let query_len = Message::query(1, &name, RecordType::A).encode().len() as u64;
+        let query_len = Message::query(1, &name(), RecordType::A).encode().len() as u64;
         let resp_len = response.encode().len() as u64;
         assert_eq!(cost.layers.dns, query_len + resp_len + 4);
     }
 
     #[test]
     fn fresh_policy_closes_and_reopens_per_query() {
-        let (mut sim, mut client, mut server) = setup(2, ReusePolicy::Fresh);
-        let name = Name::parse("abcdefgh.dohmark.test").unwrap();
+        let (mut sim, mut client, mut server) =
+            pair::<Dot>(&localhost(TransportKind::Dot, ReusePolicy::Fresh), 2);
         for id in 1..=2u16 {
-            client.resolve(&mut sim, &mut server, &name, id).unwrap();
+            resolve(&mut sim, &mut client, &mut server, &name(), id).unwrap();
             assert!(!client.is_connected(), "cold connection must close");
         }
-        crate::drain_endpoints_impl(&mut sim, &mut [&mut client, &mut server]);
+        pump(&mut sim, &mut client, &mut server);
         assert_eq!(server.open_connections(), 0);
-        let hs = handshake_bytes(&dot_tls()) as u64;
         // Both resolutions paid the full handshake independently.
-        assert_eq!(sim.meter.cost(1).layers.tls, hs + 2 * 21);
-        assert_eq!(sim.meter.cost(2).layers.tls, hs + 2 * 21);
+        assert_eq!(sim.meter.cost(1).layers.tls, dot_tls_bytes() + 2 * 21);
+        assert_eq!(sim.meter.cost(2).layers.tls, dot_tls_bytes() + 2 * 21);
     }
 
     #[test]
     fn persistent_policy_amortises_the_handshake() {
-        let (mut sim, mut client, mut server) = setup(3, ReusePolicy::Persistent);
-        let name = Name::parse("abcdefgh.dohmark.test").unwrap();
+        let (mut sim, mut client, mut server) =
+            pair::<Dot>(&localhost(TransportKind::Dot, ReusePolicy::Persistent), 3);
         for id in 1..=5u16 {
-            client.resolve(&mut sim, &mut server, &name, id).unwrap();
+            resolve(&mut sim, &mut client, &mut server, &name(), id).unwrap();
         }
         assert!(client.is_connected());
         sim.drain();
-        let hs = handshake_bytes(&dot_tls()) as u64;
         // Setup lives under the connection attribution…
-        assert_eq!(sim.meter.cost(0).layers.tls, hs);
+        assert_eq!(sim.meter.cost(0).layers.tls, dot_tls_bytes());
         // …and each resolution pays only per-record framing overhead.
         for id in 1..=5u32 {
             assert_eq!(sim.meter.cost(id).layers.tls, 2 * 21, "id {id}");
@@ -433,105 +157,16 @@ mod tests {
     }
 
     #[test]
-    fn fresh_connection_serves_all_pipelined_queries_before_closing() {
-        let (mut sim, mut client, mut server) = setup(12, ReusePolicy::Fresh);
-        let name = Name::parse("abcdefgh.dohmark.test").unwrap();
-        // Two queries launched back-to-back share the cold connection; it
-        // must not close after the first answer and strand the second.
-        client.send_query(&mut sim, &name, 1);
-        client.send_query(&mut sim, &name, 2);
-        crate::drain_endpoints_impl(&mut sim, &mut [&mut client, &mut server]);
-        assert!(client.take_response(1).is_some());
-        assert!(client.take_response(2).is_some());
-        assert!(!client.is_connected(), "cold connection closes once drained");
-        assert_eq!(server.open_connections(), 0);
-    }
-
-    #[test]
-    fn close_abandons_queued_queries() {
-        let (mut sim, mut client, mut server) = setup(13, ReusePolicy::Persistent);
-        let name = Name::parse("abcdefgh.dohmark.test").unwrap();
-        // Query 1 is still queued (handshake pending) when the client
-        // closes; it must not be retransmitted on the next connection.
-        client.send_query(&mut sim, &name, 1);
-        client.close(&mut sim);
-        crate::drain_endpoints_impl(&mut sim, &mut [&mut client, &mut server]);
-        assert!(client.take_response(1).is_none());
-        let response = client.resolve(&mut sim, &mut server, &name, 2);
-        assert!(response.is_some(), "a fresh query after close must work");
-        crate::drain_endpoints_impl(&mut sim, &mut [&mut client, &mut server]);
-        assert!(client.take_response(1).is_none(), "stale query 1 must stay abandoned");
-    }
-
-    #[test]
-    fn explicit_close_tears_the_connection_down() {
-        let (mut sim, mut client, mut server) = setup(6, ReusePolicy::Persistent);
-        let name = Name::parse("abcdefgh.dohmark.test").unwrap();
-        client.resolve(&mut sim, &mut server, &name, 1).unwrap();
-        assert!(client.is_connected());
-        client.close(&mut sim);
-        crate::drain_endpoints_impl(&mut sim, &mut [&mut client, &mut server]);
-        assert!(!client.is_connected());
-        assert_eq!(server.open_connections(), 0);
-    }
-
-    #[test]
-    fn tls12_and_resumption_configs_work_end_to_end() {
-        use dohmark_tls_model::TlsVersion;
-        for cfg in [
-            TlsConfig { version: TlsVersion::Tls12, ..dot_tls() },
-            TlsConfig { resumption: true, ..dot_tls() },
-            TlsConfig { version: TlsVersion::Tls12, resumption: true, ..dot_tls() },
-        ] {
-            let mut sim = Sim::new(4);
-            let stub = sim.add_host("stub");
-            let resolver = sim.add_host("resolver");
-            sim.add_link(stub, resolver, LinkConfig::localhost());
-            let mut server = DotServer::bind(
-                &mut sim,
-                resolver,
-                853,
-                cfg.clone(),
-                Ipv4Addr::new(192, 0, 2, 7),
-                60,
-            );
-            let mut client =
-                DotClient::new(stub, (resolver, 853), cfg.clone(), ReusePolicy::Fresh, 0);
-            let name = Name::parse("abcdefgh.dohmark.test").unwrap();
-            let response = client.resolve(&mut sim, &mut server, &name, 9);
-            assert!(response.is_some(), "no response for {cfg:?}");
-            sim.drain();
-            assert!(sim.meter.cost(9).layers.tls >= handshake_bytes(&cfg) as u64);
-        }
-    }
-
-    #[test]
     fn identical_seeds_reproduce_identical_dot_costs() {
         let run = |seed: u64| {
-            let (mut sim, mut client, mut server) = setup(seed, ReusePolicy::Persistent);
-            let name = Name::parse("abcdefgh.dohmark.test").unwrap();
+            let (mut sim, mut driver, client) =
+                driven(&localhost(TransportKind::Dot, ReusePolicy::Persistent), seed);
             for id in 1..=3u16 {
-                client.resolve(&mut sim, &mut server, &name, id).unwrap();
+                driver.resolve(&mut sim, client, &name(), id).unwrap();
             }
             sim.drain();
             (sim.meter.total(), sim.now())
         };
         assert_eq!(run(7), run(7));
-    }
-
-    #[test]
-    fn queries_survive_a_lossy_link_via_tcp_retransmission() {
-        let mut sim = Sim::new(11);
-        let stub = sim.add_host("stub");
-        let resolver = sim.add_host("resolver");
-        sim.add_link(stub, resolver, LinkConfig::localhost().loss(0.2));
-        let mut server =
-            DotServer::bind(&mut sim, resolver, 853, dot_tls(), Ipv4Addr::new(192, 0, 2, 7), 60);
-        let mut client =
-            DotClient::new(stub, (resolver, 853), dot_tls(), ReusePolicy::Persistent, 0);
-        let name = Name::parse("abcdefgh.dohmark.test").unwrap();
-        let response = client.resolve(&mut sim, &mut server, &name, 1).unwrap();
-        assert_eq!(response.answers.len(), 1);
-        assert!(sim.dropped_packets() > 0, "the link should actually have lost packets");
     }
 }

@@ -1,14 +1,12 @@
 //! Addressed wake routing: the [`Driver`] registry that scales topologies
 //! from one echo pair to thousands of endpoints.
 //!
-//! The original dispatch model *broadcast* every wake to every endpoint
-//! (each filtering by its own handles) — O(endpoints) work per wake, which
-//! caps topologies at a handful of sessions. The netsim layer now stamps
-//! every socket, listener, connection and timer with the **owner id**
-//! current at creation time ([`Sim::set_owner`]) and returns it alongside
-//! each wake ([`Sim::next_wake_owned`]); the `Driver` exploits that to
-//! route each wake straight to the one endpoint that owns the underlying
-//! handle — O(1) per wake, independent of topology size.
+//! The netsim layer stamps every socket, listener, connection and timer
+//! with the **owner id** current at creation time ([`Sim::set_owner`])
+//! and returns it alongside each wake ([`Sim::next_wake_owned`]); the
+//! `Driver` uses that to route each wake straight to the one endpoint
+//! that owns the underlying handle — O(1) per wake, independent of
+//! topology size.
 //!
 //! Endpoints are registered through a closure so that every handle they
 //! create during construction (server listeners, resolver upstream
@@ -81,83 +79,9 @@ impl Slot {
     }
 }
 
-/// Routes one popped wake to its consumers — either addressed (the
-/// [`Driver`]) or broadcast (the legacy free-function drivers). The shared
-/// pump loops ([`drain_routed`], [`advance_routed`], [`resolve_routed`])
-/// are generic over this, so both dispatch models run the exact same
-/// event-loop machinery.
-pub(crate) trait Route {
-    fn deliver(&mut self, sim: &mut Sim, wake: &Wake, owner: u64);
-}
-
-/// The legacy dispatch model: every wake goes to every endpoint, each
-/// filtering by its own handles. Correct (endpoints ignore foreign
-/// handles) but O(endpoints) per wake.
-pub(crate) struct Broadcast<'a, 'b> {
-    pub first: Option<&'a mut dyn Endpoint>,
-    pub rest: &'a mut [&'b mut dyn Endpoint],
-}
-
-impl Route for Broadcast<'_, '_> {
-    fn deliver(&mut self, sim: &mut Sim, wake: &Wake, _owner: u64) {
-        if let Some(first) = self.first.as_mut() {
-            first.on_wake(sim, wake);
-        }
-        for endpoint in self.rest.iter_mut() {
-            endpoint.on_wake(sim, wake);
-        }
-    }
-}
-
-/// Runs the simulation to quiescence, handing every wake to `route`.
-pub(crate) fn drain_routed(sim: &mut Sim, route: &mut impl Route) {
-    while let Some((wake, owner)) = sim.next_wake_owned() {
-        route.deliver(sim, &wake, owner);
-    }
-}
-
-/// Advances the simulation to `at`, handing every wake seen on the way to
-/// `route`; stops when the reserved [`ADVANCE_TOKEN`] timer fires.
-pub(crate) fn advance_routed(sim: &mut Sim, route: &mut impl Route, at: SimTime) {
-    let prev = sim.owner();
-    sim.set_owner(0);
-    sim.schedule_app(at, ADVANCE_TOKEN);
-    sim.set_owner(prev);
-    while let Some((wake, owner)) = sim.next_wake_owned() {
-        if matches!(wake, Wake::AppTimer { token, .. } if token == ADVANCE_TOKEN) {
-            return;
-        }
-        route.deliver(sim, &wake, owner);
-    }
-}
-
-/// Sends one query from `client` and pumps wakes through `route` until the
-/// response arrives (or the simulation runs dry).
-pub(crate) fn resolve_routed(
-    sim: &mut Sim,
-    client: &mut (impl Resolver + ?Sized),
-    route: &mut impl Route,
-    name: &Name,
-    id: u16,
-) -> Option<Message> {
-    client.send_query(sim, name, id);
-    loop {
-        if let Some(response) = client.take_response(id) {
-            return Some(response);
-        }
-        let (wake, owner) = sim.next_wake_owned()?;
-        client.on_wake(sim, &wake);
-        route.deliver(sim, &wake, owner);
-    }
-}
-
 /// An [`EndpointId`]-keyed endpoint registry with addressed wake dispatch.
 ///
-/// See the crate-level docs for the routing model. All loop methods
-/// ([`Driver::resolve`], [`Driver::run_until_quiescent`],
-/// [`Driver::advance_until`]) share the event-pump machinery with the
-/// legacy broadcast free functions, so both models stay semantically
-/// aligned.
+/// See the crate-level docs for the routing model.
 #[derive(Default)]
 pub struct Driver {
     slots: Vec<Slot>,
@@ -297,26 +221,28 @@ impl Driver {
     }
 
     /// Runs the simulation to quiescence, routing every wake to its owner
-    /// — the addressed counterpart of [`crate::drain_endpoints`].
+    /// — unlike [`Sim::drain`], which discards wakes, so teardown traffic
+    /// (FINs) still reaches the endpoints' state machines.
     pub fn run_until_quiescent(&mut self, sim: &mut Sim) {
-        let mut router = DriverRoute(self);
-        drain_routed(sim, &mut router);
+        while let Some((wake, owner)) = sim.next_wake_owned() {
+            self.route(sim, &wake, owner);
+        }
     }
 
-    /// Advances the simulation to time `at`, routing wakes seen on the way
-    /// — the addressed counterpart of [`crate::advance_endpoints_until`].
-    /// Uses the reserved [`ADVANCE_TOKEN`] timer token.
+    /// Advances the simulation to time `at`, routing every wake seen on
+    /// the way (leftover ACKs, FIN teardown, late responses) — the idle
+    /// time between two workload arrivals. Uses the reserved
+    /// [`ADVANCE_TOKEN`] timer token.
     pub fn advance_until(&mut self, sim: &mut Sim, at: SimTime) {
-        let mut router = DriverRoute(self);
-        advance_routed(sim, &mut router, at);
-    }
-}
-
-/// Adapter so the `Driver` plugs into the shared pump loops.
-struct DriverRoute<'a>(&'a mut Driver);
-
-impl Route for DriverRoute<'_> {
-    fn deliver(&mut self, sim: &mut Sim, wake: &Wake, owner: u64) {
-        self.0.route(sim, wake, owner);
+        let prev = sim.owner();
+        sim.set_owner(0);
+        sim.schedule_app(at, ADVANCE_TOKEN);
+        sim.set_owner(prev);
+        while let Some((wake, owner)) = sim.next_wake_owned() {
+            if matches!(wake, Wake::AppTimer { token, .. } if token == ADVANCE_TOKEN) {
+                return;
+            }
+            self.route(sim, &wake, owner);
+        }
     }
 }

@@ -9,20 +9,19 @@
 //! * [`do53`] — classic DNS over UDP, the paper's §3 baseline. The client
 //!   sends each query from a **fresh ephemeral source port** and matches
 //!   responses by transaction id.
-//! * [`dot`] — DNS over TLS (RFC 7858): messages carry the RFC 7766
-//!   2-byte length prefix and travel inside TLS application-data records
-//!   over simulated TCP, with handshake bytes taken from the
-//!   `dohmark-tls-model` flight model.
-//! * [`doh1`] — DNS over HTTPS on HTTP/1.1: `POST /dns-query` request
-//!   text and `200 OK` response text from `dohmark-httpsim::h1`, header
-//!   bytes tagged `HttpHeader` and bodies `HttpBody`.
-//! * [`doh2`] — DNS over HTTPS on HTTP/2: connection preface, SETTINGS /
-//!   WINDOW_UPDATE / GOAWAY management frames (tagged `HttpMgmt`), and
-//!   per-query HEADERS + DATA frames with real HPACK header compression —
-//!   on a persistent connection the dynamic table shrinks header bytes
-//!   after the first query, exactly the effect the paper measures.
+//! * `dot`, [`doh1`] and `doh2` — DNS over TLS (RFC 7858) and DNS over
+//!   HTTPS on HTTP/1.1 and HTTP/2 (RFC 8484). All three carry DNS
+//!   messages inside TLS application-data records over simulated TCP,
+//!   with handshake bytes taken from the `dohmark-tls-model` flight
+//!   model. One client and one server skeleton own the connection
+//!   lifecycle for all three; each module holds only its framing: the
+//!   RFC 7766 2-byte length prefix, `POST /dns-query` request and
+//!   `200 OK` response text from `dohmark-httpsim::h1`, or HTTP/2 frames
+//!   with real HPACK header compression — on a persistent connection the
+//!   dynamic table shrinks header bytes after the first query, exactly
+//!   the effect the paper measures.
 //!
-//! # The unified transport API: a registry with addressed wake routing
+//! # The transport API: a registry with addressed wake routing
 //!
 //! Every client implements [`Resolver`] and every server [`Endpoint`], so
 //! experiments iterate over [`TransportConfig`]s instead of naming
@@ -30,7 +29,7 @@
 //! registered under an [`EndpointId`], the netsim layer stamps every
 //! socket/connection/timer the endpoint creates with that id, and the
 //! driver routes each wake **only to its owner** — O(1) dispatch that
-//! scales from the original echo pair to thousand-client topologies.
+//! scales from one echo pair to thousand-client topologies.
 //! [`TransportConfig::build_server`] / [`TransportConfig::build_client`]
 //! are the factories to register:
 //!
@@ -52,20 +51,12 @@
 //! assert_eq!(response.answers.len(), 1);
 //! ```
 //!
-//! The pre-registry entry points remain for one release, **deprecated**:
-//! [`build_pair`] constructs an unregistered boxed client/server pair and
-//! [`resolve_with`] / [`drain_endpoints`] / [`advance_endpoints_until`]
-//! drive it by *broadcasting* every wake to every endpoint. They are thin
-//! shims over the same event-pump machinery the driver uses, so both
-//! dispatch models stay semantically aligned; new code should register
-//! endpoints in a [`Driver`] and use [`Driver::resolve`] /
-//! [`Driver::run_until_quiescent`] / [`Driver::advance_until`] instead.
-//!
 //! # Servers answer from pluggable backends
 //!
-//! Every transport server answers from a [`ServerBackend`]: the classic
-//! `bind(...)` constructors keep the paper's fixed-echo behaviour
-//! ([`Zone::fixed`]), while `bind_with(...)` accepts a synthetic
+//! Every transport server answers from a [`ServerBackend`]:
+//! [`TransportConfig::build_server`] keeps the paper's fixed-echo
+//! behaviour ([`Zone::fixed`]), while
+//! [`TransportConfig::build_server_with`] accepts a synthetic
 //! authoritative [`Zone`] or a [`RecursiveResolver`] — a TTL-driven
 //! positive/negative cache (RFC 2308) shared by all client sessions of
 //! that server, fetching misses from a Do53 upstream and exposing
@@ -88,40 +79,40 @@
 pub mod cache;
 pub mod do53;
 pub mod doh1;
-pub mod doh2;
-pub mod dot;
+mod doh2;
+mod dot;
 mod driver;
 pub mod resolver;
+mod stream;
 mod tls_stream;
 mod transport;
 pub mod zone;
 
 pub use cache::{CacheStats, DnsCache};
 pub use do53::{Do53Client, Do53Server, UdpRetry};
-pub use doh1::{DohH1Client, DohH1Server};
-pub use doh2::{DohH2Client, DohH2Server};
-pub use dot::{DotClient, DotServer, ReusePolicy};
 pub use driver::{Driver, EndpointId};
 pub use resolver::{RecursiveResolver, ServerBackend};
-pub use transport::{build_pair, build_pair_on, TransportConfig, TransportKind};
+pub use stream::ReusePolicy;
+pub use transport::{TransportConfig, TransportKind};
 pub use zone::Zone;
 
 use dohmark_dns_wire::{Message, Name};
-use dohmark_netsim::{Sim, SimTime, Wake};
+use dohmark_netsim::{Sim, Wake};
 
 /// A simulation participant that reacts to application-visible wakes.
 ///
-/// `on_wake` is called for **every** wake the driver pops, including ones
-/// addressed to other endpoints; implementations must filter by their own
-/// socket/connection handles and ignore the rest.
+/// A [`Driver`] hands `on_wake` only the wakes of handles this endpoint
+/// owns — its sockets, listeners, connections and timers. Implementations
+/// still match each wake against the handles they know and ignore the
+/// rest: a handle they have already dropped can still wake.
 pub trait Endpoint {
-    /// Reacts to one wake (possibly not addressed to this endpoint).
+    /// Reacts to one wake.
     fn on_wake(&mut self, sim: &mut Sim, wake: &Wake);
 }
 
 /// A transport client that can start a resolution, surface its result and
-/// tear its connections down — the unified client API every transport
-/// (Do53, DoT, DoH-h1, DoH-h2) implements and [`resolve_with`] drives.
+/// tear its connections down — the client API every transport (Do53, DoT,
+/// DoH-h1, DoH-h2) implements and the [`Driver`] drives.
 pub trait Resolver: Endpoint {
     /// Starts an A-record resolution for `name` with transaction (and
     /// attribution) id `id`.
@@ -131,102 +122,14 @@ pub trait Resolver: Endpoint {
     fn take_response(&mut self, id: u16) -> Option<Message>;
 
     /// Initiates a graceful teardown of any open transport state (TCP
-    /// FIN, HTTP/2 GOAWAY); in-flight wakes still need to be drained with
-    /// [`drain_endpoints`] afterwards. Default: nothing to tear down.
+    /// FIN, HTTP/2 GOAWAY); the teardown traffic still needs the event
+    /// loop, e.g. [`Driver::run_until_quiescent`]. Default: nothing to
+    /// tear down.
     fn close(&mut self, sim: &mut Sim) {
         let _ = sim;
     }
 }
 
-/// The pre-redesign name of [`Resolver`], kept as an alias so existing
-/// `use dohmark_doh::QueryClient` imports keep compiling.
-pub use Resolver as QueryClient;
-
-/// Sends one query and runs the simulation until its response arrives,
-/// dispatching every wake to both the client and `peer`.
-///
-/// Returns `None` if the simulation runs dry first (e.g. an unanswered
-/// datagram on a lossy link — the clients model no application retries).
-/// Wakes not consumed by either endpoint are discarded; use
-/// [`resolve_with_extras`] when other endpoints (old connections, other
-/// sessions) still need their teardown wakes.
-///
-/// remove-by: PR 11
-#[deprecated(note = "register the endpoints in a `Driver` and use `Driver::resolve`; \
-                     this broadcast shim will be removed next release")]
-pub fn resolve_with(
-    sim: &mut Sim,
-    client: &mut (impl Resolver + ?Sized),
-    peer: &mut dyn Endpoint,
-    name: &Name,
-    id: u16,
-) -> Option<Message> {
-    resolve_with_extras_impl(sim, client, peer, &mut [], name, id)
-}
-
-/// [`resolve_with`], additionally routing every wake to the `extras`
-/// endpoints, so a multi-connection session (several DoH clients sharing
-/// one simulator, an old connection draining its FIN) cannot lose
-/// teardown wakes while one resolution is being driven.
-///
-/// remove-by: PR 11
-#[deprecated(note = "register every session in a `Driver` — addressed routing never loses \
-                     bystander wakes; this broadcast shim will be removed next release")]
-pub fn resolve_with_extras(
-    sim: &mut Sim,
-    client: &mut (impl Resolver + ?Sized),
-    peer: &mut dyn Endpoint,
-    extras: &mut [&mut dyn Endpoint],
-    name: &Name,
-    id: u16,
-) -> Option<Message> {
-    resolve_with_extras_impl(sim, client, peer, extras, name, id)
-}
-
-/// Non-deprecated body of [`resolve_with_extras`], shared with the
-/// per-transport `resolve` convenience methods.
-pub(crate) fn resolve_with_extras_impl(
-    sim: &mut Sim,
-    client: &mut (impl Resolver + ?Sized),
-    peer: &mut dyn Endpoint,
-    extras: &mut [&mut dyn Endpoint],
-    name: &Name,
-    id: u16,
-) -> Option<Message> {
-    let mut route = driver::Broadcast { first: Some(peer), rest: extras };
-    driver::resolve_routed(sim, client, &mut route, name, id)
-}
-
-/// Runs the simulation to quiescence, dispatching every wake to all
-/// `endpoints` — unlike [`Sim::drain`], which discards wakes, so teardown
-/// traffic (FINs) still reaches the endpoints' state machines.
-///
-/// remove-by: PR 11
-#[deprecated(note = "register the endpoints in a `Driver` and use \
-                     `Driver::run_until_quiescent`; this broadcast shim will be removed \
-                     next release")]
-pub fn drain_endpoints(sim: &mut Sim, endpoints: &mut [&mut dyn Endpoint]) {
-    drain_endpoints_impl(sim, endpoints);
-}
-
-/// Non-deprecated body of [`drain_endpoints`], shared with in-crate tests.
-pub(crate) fn drain_endpoints_impl(sim: &mut Sim, endpoints: &mut [&mut dyn Endpoint]) {
-    let mut route = driver::Broadcast { first: None, rest: endpoints };
-    driver::drain_routed(sim, &mut route);
-}
-
-/// Token [`advance_endpoints_until`] reserves for its internal timer;
+/// Timer token [`Driver::advance_until`] reserves for its internal timer;
 /// application timers must use other values.
 pub const ADVANCE_TOKEN: u64 = u64::MAX;
-
-/// Advances the simulation to time `at`, dispatching every wake seen on
-/// the way (leftover ACKs, FIN teardown, late responses) to all
-/// `endpoints` — the idle time between two workload arrivals.
-///
-/// remove-by: PR 11
-#[deprecated(note = "register the endpoints in a `Driver` and use `Driver::advance_until`; \
-                     this broadcast shim will be removed next release")]
-pub fn advance_endpoints_until(sim: &mut Sim, endpoints: &mut [&mut dyn Endpoint], at: SimTime) {
-    let mut route = driver::Broadcast { first: None, rest: endpoints };
-    driver::advance_routed(sim, &mut route, at);
-}

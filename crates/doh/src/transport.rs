@@ -28,11 +28,12 @@
 //! }
 //! ```
 
+use crate::doh1::H1;
+use crate::doh2::H2;
+use crate::dot::Dot;
 use crate::resolver::ServerBackend;
-use crate::{
-    Do53Client, Do53Server, DohH1Client, DohH1Server, DohH2Client, DohH2Server, DotClient,
-    DotServer, Endpoint, Resolver, ReusePolicy, UdpRetry,
-};
+use crate::stream::{StreamClient, StreamServer};
+use crate::{Do53Client, Do53Server, Endpoint, Resolver, ReusePolicy, UdpRetry};
 use dohmark_netsim::{HostId, LinkConfig, Sim};
 use dohmark_tls_model::{TlsConfig, TlsVersion, ALPN_DOT, ALPN_H2, ALPN_HTTP11};
 use std::net::Ipv4Addr;
@@ -172,6 +173,10 @@ impl TransportConfig {
         })
     }
 
+    fn stream_tls(&self) -> TlsConfig {
+        self.tls().expect("stream transports run on tls")
+    }
+
     /// The full matrix the `transport_shootout` example iterates: Do53,
     /// plus every TLS transport in {fresh, persistent} and, for the fresh
     /// cells, the TLS-resumption variant — ten cells.
@@ -205,17 +210,18 @@ impl TransportConfig {
         let port = self.kind.port();
         match self.kind {
             TransportKind::Do53 => Box::new(Do53Server::bind_with(sim, host, port, backend)),
-            TransportKind::Dot => {
-                let tls = self.tls().expect("dot uses tls");
-                Box::new(DotServer::bind_with(sim, host, port, tls, backend))
-            }
+            TransportKind::Dot => Box::new(StreamServer::<Dot>::bind_with(
+                sim,
+                host,
+                port,
+                self.stream_tls(),
+                backend,
+            )),
             TransportKind::DohH1 => {
-                let tls = self.tls().expect("doh uses tls");
-                Box::new(DohH1Server::bind_with(sim, host, port, tls, backend))
+                Box::new(StreamServer::<H1>::bind_with(sim, host, port, self.stream_tls(), backend))
             }
             TransportKind::DohH2 => {
-                let tls = self.tls().expect("doh uses tls");
-                Box::new(DohH2Server::bind_with(sim, host, port, tls, backend))
+                Box::new(StreamServer::<H2>::bind_with(sim, host, port, self.stream_tls(), backend))
             }
         }
     }
@@ -227,71 +233,50 @@ impl TransportConfig {
     /// [`Driver::register_resolver`](crate::Driver::register_resolver) so
     /// those lazy handles get the right owner id.
     pub fn build_client(&self, stub: HostId, resolver: HostId) -> Box<dyn Resolver> {
-        let server_addr = (resolver, self.kind.port());
+        let server = (resolver, self.kind.port());
+        let (reuse, attr) = (self.reuse, self.conn_attr);
         match self.kind {
             TransportKind::Do53 => match self.udp_retry {
-                Some(retry) => Box::new(Do53Client::with_retry(stub, server_addr, retry)),
-                None => Box::new(Do53Client::new(stub, server_addr)),
+                Some(retry) => Box::new(Do53Client::with_retry(stub, server, retry)),
+                None => Box::new(Do53Client::new(stub, server)),
             },
             TransportKind::Dot => {
-                let tls = self.tls().expect("dot uses tls");
-                Box::new(DotClient::new(stub, server_addr, tls, self.reuse, self.conn_attr))
+                Box::new(StreamClient::<Dot>::new(stub, server, self.stream_tls(), reuse, attr))
             }
             TransportKind::DohH1 => {
-                let tls = self.tls().expect("doh uses tls");
-                Box::new(DohH1Client::new(
-                    stub,
-                    server_addr,
-                    &self.sni,
-                    tls,
-                    self.reuse,
-                    self.conn_attr,
-                ))
+                Box::new(StreamClient::<H1>::new(stub, server, self.stream_tls(), reuse, attr))
             }
             TransportKind::DohH2 => {
-                let tls = self.tls().expect("doh uses tls");
-                Box::new(DohH2Client::new(
-                    stub,
-                    server_addr,
-                    &self.sni,
-                    tls,
-                    self.reuse,
-                    self.conn_attr,
-                ))
+                Box::new(StreamClient::<H2>::new(stub, server, self.stream_tls(), reuse, attr))
             }
         }
     }
 }
 
-/// Builds the configured client/server pair on two fresh hosts ("stub",
-/// "resolver") joined by the config's link — one matrix cell for the
-/// deprecated broadcast drive model; registry topologies use the
-/// `build_server`/`build_client` factories with a
-/// [`Driver`](crate::Driver) instead.
-pub fn build_pair(sim: &mut Sim, cfg: &TransportConfig) -> (Box<dyn Resolver>, Box<dyn Endpoint>) {
-    let stub = sim.add_host("stub");
-    let resolver = sim.add_host("resolver");
-    sim.add_link(stub, resolver, cfg.link);
-    build_pair_on(sim, stub, resolver, cfg)
-}
-
-/// [`build_pair`] on an existing topology: `stub` and `resolver` must
-/// already be linked. Lets multi-client experiments share one resolver
-/// host.
-pub fn build_pair_on(
-    sim: &mut Sim,
-    stub: HostId,
-    resolver: HostId,
-    cfg: &TransportConfig,
-) -> (Box<dyn Resolver>, Box<dyn Endpoint>) {
-    (cfg.build_client(stub, resolver), cfg.build_server(sim, resolver))
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::{Driver, EndpointId};
     use dohmark_dns_wire::Name;
     use dohmark_tls_model::select_alpn;
+
+    /// `kind`'s matrix cell on a localhost link.
+    pub(crate) fn localhost(kind: TransportKind, reuse: ReusePolicy) -> TransportConfig {
+        TransportConfig { link: LinkConfig::localhost(), ..TransportConfig::new(kind, reuse) }
+    }
+
+    /// `cfg`'s server and client on a stub and a resolver joined by
+    /// `cfg.link`, registered in a [`Driver`].
+    pub(crate) fn driven(cfg: &TransportConfig, seed: u64) -> (Sim, Driver, EndpointId) {
+        let mut sim = Sim::new(seed);
+        let stub = sim.add_host("stub");
+        let resolver = sim.add_host("resolver");
+        sim.add_link(stub, resolver, cfg.link);
+        let mut driver = Driver::new();
+        driver.register(&mut sim, |sim| cfg.build_server(sim, resolver));
+        let client = driver.register_resolver(&mut sim, |_| cfg.build_client(stub, resolver));
+        (sim, driver, client)
+    }
 
     #[test]
     fn matrix_covers_every_kind_and_reuse_mode() {
@@ -318,13 +303,7 @@ mod tests {
     #[test]
     fn every_matrix_cell_resolves_end_to_end() {
         for cfg in TransportConfig::matrix() {
-            let mut sim = Sim::new(5);
-            let stub = sim.add_host("stub");
-            let resolver = sim.add_host("resolver");
-            sim.add_link(stub, resolver, cfg.link);
-            let mut driver = crate::Driver::new();
-            driver.register(&mut sim, |sim| cfg.build_server(sim, resolver));
-            let client = driver.register_resolver(&mut sim, |_| cfg.build_client(stub, resolver));
+            let (mut sim, mut driver, client) = driven(&cfg, 5);
             let name = Name::parse("abcdefgh.dohmark.test").unwrap();
             for id in 1..=2u16 {
                 let response = driver.resolve(&mut sim, client, &name, id);
@@ -349,13 +328,7 @@ mod tests {
     #[test]
     fn resumption_shrinks_fresh_tls_bytes() {
         let run = |cfg: &TransportConfig| {
-            let mut sim = Sim::new(9);
-            let stub = sim.add_host("stub");
-            let resolver = sim.add_host("resolver");
-            sim.add_link(stub, resolver, cfg.link);
-            let mut driver = crate::Driver::new();
-            driver.register(&mut sim, |sim| cfg.build_server(sim, resolver));
-            let client = driver.register_resolver(&mut sim, |_| cfg.build_client(stub, resolver));
+            let (mut sim, mut driver, client) = driven(cfg, 9);
             let name = Name::parse("abcdefgh.dohmark.test").unwrap();
             driver.resolve(&mut sim, client, &name, 1).unwrap();
             driver.run_until_quiescent(&mut sim);

@@ -637,12 +637,12 @@ mod tests {
 
     #[test]
     fn impl_trait_for_type_names_the_type() {
-        let src = "impl<'a> Route for Broadcast<'a, 'a> {\n    fn deliver(&mut self) {}\n}\n";
+        let src = "impl<'a> Route for Fanout<'a, 'a> {\n    fn deliver(&mut self) {}\n}\n";
         let m = model("crates/doh/src/driver.rs", src);
         let imp = m.items.iter().find(|i| i.kind == ItemKind::Impl).expect("impl");
-        assert_eq!(imp.name, "Broadcast");
+        assert_eq!(imp.name, "Fanout");
         let f = m.items.iter().find(|i| i.name == "deliver").expect("method");
-        assert_eq!(f.path, "doh::driver::Broadcast::deliver");
+        assert_eq!(f.path, "doh::driver::Fanout::deliver");
     }
 
     #[test]
@@ -664,20 +664,20 @@ mod tests {
 
     #[test]
     fn use_trees_build_the_alias_map() {
-        let src = "use crate::driver::{drain_routed, Broadcast as Bcast};\n\
+        let src = "use crate::driver::{drain_routed, Fanout as Fan};\n\
                    pub use dohmark_netsim::{Sim, trace::CostMeter};\n\
                    use std::fmt;\n";
         let m = model("crates/doh/src/lib.rs", src);
         let get = |k: &str| m.aliases.get(k).map(String::as_str);
         assert_eq!(get("drain_routed"), Some("crate::driver::drain_routed"));
-        assert_eq!(get("Bcast"), Some("crate::driver::Broadcast"));
+        assert_eq!(get("Fan"), Some("crate::driver::Fanout"));
         assert_eq!(get("CostMeter"), Some("dohmark_netsim::trace::CostMeter"));
         assert_eq!(get("fmt"), Some("std::fmt"));
     }
 
     #[test]
     fn multi_line_use_trees_do_not_desync_brace_depth() {
-        let src = "use crate::driver::{\n    drain_routed,\n    Broadcast,\n};\n\
+        let src = "use crate::driver::{\n    drain_routed,\n    Fanout,\n};\n\
                    fn after() {\n    work();\n}\n";
         let m = model("crates/doh/src/lib.rs", src);
         assert!(m.aliases.contains_key("drain_routed"));

@@ -352,9 +352,9 @@ mod tests {
 
     #[test]
     fn token_boundaries_reject_identifier_tails() {
-        assert!(has_token("drain_endpoints(sim)", "drain_endpoints"));
-        assert!(!has_token("drain_endpoints_impl(sim)", "drain_endpoints"));
-        assert!(!has_token("my_drain_endpoints(sim)", "drain_endpoints"));
+        assert!(has_token("schedule_app(sim)", "schedule_app"));
+        assert!(!has_token("schedule_app_in(sim)", "schedule_app"));
+        assert!(!has_token("my_schedule_app(sim)", "schedule_app"));
         assert!(has_token("use std::thread;", "std::thread"));
         assert!(has_token("std::thread::spawn(f)", "std::thread"));
     }

@@ -29,7 +29,7 @@
 //! (string and comment braces are already blanked, so depth never
 //! desyncs); each function's body is then mined for `ident(` /
 //! `path::ident(` / `.method(` call shapes. A workspace pass joins all
-//! files into a callable index (`doh::driver::drain_routed` → item), on
+//! files into a callable index (`doh::driver::schedule_endpoint_timer` → item), on
 //! which calls resolve: same-impl method, then same-module free
 //! function, then alias-expanded path with `crate::`/`self::`
 //! normalised, then a unique `::`-suffix match. This is deliberately

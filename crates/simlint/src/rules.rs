@@ -124,12 +124,6 @@ pub const RULES: &[Rule] = &[
         check: Check::File(no_thread_outside_sweep),
     },
     Rule {
-        name: "no-deprecated-broadcast",
-        summary: "the deprecated broadcast shims (resolve_with, drain_endpoints, …) \
-                  outside their definition and the one pinned test",
-        check: Check::File(no_deprecated_broadcast),
-    },
-    Rule {
         name: "no-print-in-lib",
         summary: "println!/eprintln! in library code — stdout belongs to src/bin, \
                   examples and benches",
@@ -509,32 +503,6 @@ fn find_token_prefix(code: &str, pat: &str, from: usize) -> Option<usize> {
     None
 }
 
-/// The deprecated broadcast entry points quarantined by
-/// `no-deprecated-broadcast`. Their definitions live in
-/// `crates/doh/src/lib.rs` (exempt); every use elsewhere needs an allow.
-const BROADCAST_SHIMS: &[&str] =
-    &["resolve_with", "resolve_with_extras", "drain_endpoints", "advance_endpoints_until"];
-
-fn no_deprecated_broadcast(view: &FileView, sink: &mut Sink) {
-    if view.rel == "crates/doh/src/lib.rs" {
-        return;
-    }
-    for (i, line) in view.lines.iter().enumerate() {
-        for &shim in BROADCAST_SHIMS {
-            if has_token(&line.code, shim) {
-                sink.report(
-                    i,
-                    "no-deprecated-broadcast",
-                    format!(
-                        "deprecated broadcast shim `{shim}` — register the endpoints \
-                             in a `Driver` and use addressed routing"
-                    ),
-                );
-            }
-        }
-    }
-}
-
 fn no_print_in_lib(view: &FileView, sink: &mut Sink) {
     if view.is_bin_or_example() || view.is_bench() || view.is_test_path() {
         return;
@@ -667,7 +635,7 @@ fn seed_discipline(view: &FileView, sink: &mut Sink) {
 const WAKE_APIS: &[&str] = &["schedule_app", "schedule_app_in", "next_wake", "next_wake_owned"];
 
 /// The one file whose wake calls are blessed: the `Driver` registry and
-/// its pump helpers (`drain_routed`, `advance_routed`, `resolve_routed`).
+/// its event loops.
 const DRIVER_FILE: &str = "crates/doh/src/driver.rs";
 
 /// Does this call path name a wake API (`sim.next_wake_owned()`,
@@ -954,16 +922,6 @@ mod tests {
         assert!(run("crates/bench/src/sweep.rs", src).is_empty());
         let found = run("crates/bench/src/stats.rs", src);
         assert_eq!(found.iter().filter(|f| f.rule == "no-thread-outside-sweep").count(), 3);
-    }
-
-    #[test]
-    fn broadcast_shims_are_flagged_outside_their_definition() {
-        let src = "fn f(sim: &mut Sim) { resolve_with(sim, &mut c, &mut s, &n, 1); \
-                   drain_endpoints_impl(sim, &mut []); }\n";
-        assert!(run("crates/doh/src/lib.rs", src).is_empty(), "definitions file is exempt");
-        let found = run("crates/doh/src/do53.rs", src);
-        assert_eq!(found.len(), 1, "the _impl helper is a different token: {found:?}");
-        assert_eq!(found[0].rule, "no-deprecated-broadcast");
     }
 
     #[test]

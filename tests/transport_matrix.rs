@@ -1,5 +1,5 @@
-//! Integration test for the unified transport API: `build_pair` must
-//! construct every matrix cell, and the cells must reproduce the paper's
+//! Integration test for the unified transport API: `TransportConfig` must
+//! build every matrix cell, and the cells must reproduce the paper's
 //! qualitative cost ordering deterministically — the same properties
 //! `examples/transport_shootout.rs` demonstrates, kept under `cargo test`
 //! and driven through the same shared `dohmark_bench::run_matrix_cell`
@@ -7,7 +7,7 @@
 //! same thing.
 
 use dohmark::dns::Name;
-use dohmark::doh::{ReusePolicy, TransportConfig, TransportKind};
+use dohmark::doh::{Driver, ReusePolicy, TransportConfig, TransportKind};
 use dohmark::netsim::Sim;
 use dohmark_bench::{run_matrix_cell, CellRun};
 
@@ -18,7 +18,7 @@ fn cell(kind: TransportKind, reuse: ReusePolicy) -> CellRun {
 }
 
 #[test]
-fn build_pair_constructs_every_kind_in_both_reuse_modes() {
+fn every_kind_runs_in_both_reuse_modes() {
     let cells = TransportConfig::matrix();
     for kind in [TransportKind::Dot, TransportKind::DohH1, TransportKind::DohH2] {
         for reuse in [ReusePolicy::Fresh, ReusePolicy::Persistent] {
@@ -93,69 +93,43 @@ fn the_matrix_is_deterministic_under_a_fixed_seed() {
 }
 
 #[test]
-// The broadcast wrappers are deprecated shims kept for one release;
-// this test pins their semantics (bystander wake routing) until removal.
-// New code drives multi-session topologies through `Driver` instead.
-#[allow(deprecated)]
-fn resolve_with_extras_routes_wakes_to_bystander_endpoints() {
-    // Two independent DoH/2 sessions on one simulator: driving a
-    // resolution on the first must not swallow the second's teardown
-    // wakes (the GOAWAY/FIN exchange after its client closed). Session B
-    // uses concrete types so its connection state can be asserted.
-    use dohmark::doh::{
-        build_pair_on,
-        // simlint::allow(no-deprecated-broadcast): the one pinned test of the shims — goes away with them next release
-        drain_endpoints,
-        // simlint::allow(no-deprecated-broadcast): the one pinned test of the shims — goes away with them next release
-        resolve_with,
-        DohH2Client,
-        DohH2Server,
-        Resolver,
-    };
-    use dohmark::tls::{TlsConfig, ALPN_H2};
-    use std::net::Ipv4Addr;
-
+fn a_closing_session_tears_down_while_another_resolves() {
+    // Two independent DoH/2 sessions in one Driver: driving a resolution
+    // on session A must still route session B's teardown wakes (the
+    // GOAWAY/FIN exchange after its client closed) to B's endpoints.
+    let a = TransportConfig::new(TransportKind::DohH2, ReusePolicy::Persistent);
+    let b = TransportConfig { conn_attr: 200, ..a.clone() };
     let mut sim = Sim::new(5);
-    let cfg = TransportConfig::new(TransportKind::DohH2, ReusePolicy::Persistent);
     let stub = sim.add_host("stub");
-    let resolver = sim.add_host("resolver");
-    sim.add_link(stub, resolver, cfg.link);
-    let (mut client_a, mut server_a) = build_pair_on(&mut sim, stub, resolver, &cfg);
-    let tls = TlsConfig::for_server("dns.example.net").alpn(ALPN_H2);
-    let mut server_b =
-        DohH2Server::bind(&mut sim, resolver, 8443, tls.clone(), Ipv4Addr::new(192, 0, 2, 9), 60);
-    let mut client_b = DohH2Client::new(
-        stub,
-        (resolver, 8443),
-        "dns.example.net",
-        tls,
-        ReusePolicy::Persistent,
-        200,
-    );
+    let resolver_a = sim.add_host("resolver-a");
+    let resolver_b = sim.add_host("resolver-b");
+    sim.add_link(stub, resolver_a, a.link);
+    sim.add_link(stub, resolver_b, b.link);
+    let mut driver = Driver::new();
+    driver.register(&mut sim, |sim| a.build_server(sim, resolver_a));
+    let client_a = driver.register_resolver(&mut sim, |_| a.build_client(stub, resolver_a));
+    driver.register(&mut sim, |sim| b.build_server(sim, resolver_b));
+    let client_b = driver.register_resolver(&mut sim, |_| b.build_client(stub, resolver_b));
     let name = Name::parse("abcdefgh.dohmark.test").unwrap();
 
     // Session B resolves, then starts closing — its GOAWAY/FIN exchange
     // is still in flight when session A's resolution is driven.
-    // simlint::allow(no-deprecated-broadcast): pinning broadcast semantics until the shims are removed
-    resolve_with(&mut sim, &mut client_b, &mut server_b, &name, 100).unwrap();
-    client_b.close(&mut sim);
-    // simlint::allow(no-deprecated-broadcast): pinning broadcast semantics until the shims are removed
-    let response = dohmark::doh::resolve_with_extras(
-        &mut sim,
-        client_a.as_mut(),
-        server_a.as_mut(),
-        &mut [&mut client_b, &mut server_b],
-        &name,
-        1,
-    );
-    assert!(response.is_some());
-    // simlint::allow(no-deprecated-broadcast): pinning broadcast semantics until the shims are removed
-    drain_endpoints(
-        &mut sim,
-        &mut [client_a.as_mut(), server_a.as_mut(), &mut client_b, &mut server_b],
-    );
-    // B's teardown completed even though A's resolve loop was driving:
-    // the FIN wake reached B's server instead of being discarded.
-    assert!(!client_b.is_connected());
-    assert_eq!(server_b.open_connections(), 0, "B's teardown wake was lost");
+    driver.resolve(&mut sim, client_b, &name, 100).unwrap();
+    sim.trace.enable(10_000);
+    driver.close(&mut sim, client_b);
+    assert!(driver.resolve(&mut sim, client_a, &name, 1).is_some());
+
+    // B's teardown completed while A's resolve loop was driving: both
+    // ends of B's connection sent their FIN.
+    let fin = |from: &str, to: &str| {
+        sim.trace.records().iter().any(|r| {
+            let (src, dst) = r.direction.split_once("->").unwrap();
+            src.starts_with(from) && dst.starts_with(to) && r.summary.starts_with("TCP F")
+        })
+    };
+    assert!(fin("stub:", "resolver-b:"), "B's client never sent its FIN");
+    assert!(fin("resolver-b:", "stub:"), "B's server never saw the FIN and closed");
+    assert!(!fin("stub:", "resolver-a:"), "A's persistent connection stays open");
+    driver.run_until_quiescent(&mut sim);
+    assert_eq!(driver.unrouted_wakes(), 0);
 }
