@@ -230,8 +230,7 @@ impl Endpoint for Do53Client {
                         self.pending.remove(idx);
                         self.responses.push(response);
                         // The query's ephemeral socket has served its purpose;
-                        // closing it keeps a long-running client from aliasing
-                        // wrapped ephemeral ports onto dead sockets.
+                        // closing it frees its slot and port for later queries.
                         sim.udp_close(*sock);
                         break;
                     }

@@ -6,6 +6,11 @@
 //! byte-stream TCP model ([`tcp`]), and per-layer byte/packet accounting
 //! ([`trace`]) behind the paper's Figures 3–5.
 //!
+//! UDP delivery is one keyed `(host, port)` lookup, and closed sockets'
+//! slots are reused, so a client binding a socket per query costs the
+//! same per datagram at any run length (see [`sim`] for the delivery rule
+//! and stale-handle behaviour).
+//!
 //! Everything is bit-for-bit reproducible: the only randomness comes from
 //! the seeded [`SimRng`], events at equal times fire in FIFO order, and no
 //! wall-clock time or environment state leaks in.

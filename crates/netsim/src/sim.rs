@@ -12,6 +12,18 @@
 //!
 //! Internal transport events (packet deliveries, TCP timers) are processed
 //! transparently; only application-visible conditions surface as [`Wake`]s.
+//!
+//! # UDP demultiplexing
+//!
+//! A datagram to `(host, port)` goes to the earliest-bound socket still
+//! open on that pair; when that socket closes, the next-earliest takes
+//! over, and with none open the datagram is dropped. Delivery is one keyed
+//! lookup, whatever the number of sockets bound over the run. A closed
+//! socket's slot is reused by a later [`Sim::udp_bind`], so a client that
+//! binds a socket per query keeps a table the size of its open sockets.
+//! Each reuse gives the slot a new generation: a [`SockId`] kept past
+//! [`Sim::udp_close`] is stale, and no call through it reaches the slot's
+//! next occupant.
 
 use crate::link::{DirLink, LinkConfig};
 use crate::packet::{Packet, Proto};
@@ -20,15 +32,30 @@ use crate::tcp::{Listener, TcpConn};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{CostMeter, LayerTag, PacketRecord, TraceLog};
 use std::cmp::Reverse;
+use std::collections::hash_map::Entry;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
+
+/// First port of the ephemeral range `40000..=65535`.
+const EPHEMERAL_FIRST: u16 = 40_000;
+/// Ports in the ephemeral range.
+const EPHEMERAL_PORTS: u32 = (u16::MAX - EPHEMERAL_FIRST) as u32 + 1;
 
 /// Identifier of a simulated host.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct HostId(pub usize);
 
-/// Identifier of a UDP socket.
+/// Identifier of a UDP socket: a slot in the simulator's socket table
+/// plus the generation of the socket that holds it.
+///
+/// [`Sim::udp_close`] frees the slot for a later [`Sim::udp_bind`] under a
+/// new generation, so a handle kept past its socket's close is stale: it
+/// receives nothing, closing it again is a no-op, and it never reaches
+/// the socket that reuses the slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct SockId(pub(crate) usize);
+pub struct SockId {
+    slot: u32,
+    gen: u32,
+}
 
 /// Identifier of a TCP listener.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -168,9 +195,53 @@ pub(crate) enum EvKind {
 struct UdpSock {
     host: usize,
     port: u16,
+    /// Bumped on close: the open socket's handle carries the current value,
+    /// a free slot's value is carried by no handle.
+    gen: u32,
     rx: VecDeque<(HostId, u16, Vec<u8>)>,
-    open: bool,
     owner: u64,
+}
+
+/// The open sockets bound to one `(host, port)`, as slots in bind order;
+/// the first receives every datagram to the pair. Almost every pair has
+/// one socket, held inline so that a bind allocates nothing.
+#[derive(Debug)]
+enum Bound {
+    One(u32),
+    Many(Vec<u32>),
+}
+
+impl Bound {
+    fn receiver(&self) -> u32 {
+        match self {
+            Bound::One(slot) => *slot,
+            Bound::Many(slots) => slots[0],
+        }
+    }
+
+    fn push(&mut self, slot: u32) {
+        match self {
+            Bound::One(first) => *self = Bound::Many(vec![*first, slot]),
+            Bound::Many(slots) => slots.push(slot),
+        }
+    }
+
+    /// Removes `slot`; true when no socket is left on the pair.
+    fn remove(&mut self, slot: u32) -> bool {
+        let Bound::Many(slots) = self else { return true };
+        slots.retain(|&s| s != slot);
+        if let [only] = slots[..] {
+            *self = Bound::One(only);
+        }
+        false
+    }
+}
+
+#[derive(Debug)]
+struct Host {
+    name: String,
+    /// Distinct ephemeral-range ports held by open UDP sockets here.
+    ephemeral_udp_ports: u32,
 }
 
 /// The simulator.
@@ -179,11 +250,16 @@ pub struct Sim {
     now: SimTime,
     heap: BinaryHeap<Reverse<Ev>>,
     next_seq: u64,
-    hosts: Vec<String>,
+    hosts: Vec<Host>,
     /// Keyed lookup only ((src, dst) route resolution) — never iterated,
     /// so the randomized order is unobservable (no-unordered-iteration).
     links: HashMap<(usize, usize), DirLink>,
     udp: Vec<UdpSock>,
+    /// Slots of closed sockets, reused by the next bind.
+    udp_free: Vec<u32>,
+    /// The UDP demux index, keyed by `(host, port)`; holds only open
+    /// sockets. Keyed lookup only — never iterated (no-unordered-iteration).
+    udp_bound: HashMap<(usize, u16), Bound>,
     pub(crate) listeners: Vec<Listener>,
     pub(crate) conns: Vec<TcpConn>,
     pub(crate) wakes: VecDeque<(Wake, u64)>,
@@ -208,6 +284,8 @@ impl Sim {
             hosts: Vec::new(),
             links: HashMap::new(),
             udp: Vec::new(),
+            udp_free: Vec::new(),
+            udp_bound: HashMap::new(),
             listeners: Vec::new(),
             conns: Vec::new(),
             wakes: VecDeque::new(),
@@ -216,7 +294,7 @@ impl Sim {
             rng: SimRng::new(seed),
             attr: 0,
             owner: 0,
-            next_ephemeral: 40_000,
+            next_ephemeral: EPHEMERAL_FIRST,
             dropped: 0,
         }
     }
@@ -262,13 +340,13 @@ impl Sim {
 
     /// Adds a host and returns its id.
     pub fn add_host(&mut self, name: &str) -> HostId {
-        self.hosts.push(name.to_string());
+        self.hosts.push(Host { name: name.to_string(), ephemeral_udp_ports: 0 });
         HostId(self.hosts.len() - 1)
     }
 
     /// Host name for reporting.
     pub fn host_name(&self, h: HostId) -> &str {
-        &self.hosts[h.0]
+        &self.hosts[h.0].name
     }
 
     /// Connects two hosts with symmetric link characteristics.
@@ -315,43 +393,106 @@ impl Sim {
 
     pub(crate) fn alloc_ephemeral(&mut self) -> u16 {
         let p = self.next_ephemeral;
-        self.next_ephemeral = if p == u16::MAX { 40_000 } else { p + 1 };
+        self.next_ephemeral = if p == u16::MAX { EPHEMERAL_FIRST } else { p + 1 };
         p
+    }
+
+    /// The next ephemeral port no open UDP socket on `host` holds. When
+    /// the host holds every port of the range, the next port is shared
+    /// and the earlier-bound socket on it keeps receiving.
+    fn alloc_udp_ephemeral(&mut self, host: usize) -> u16 {
+        let full = self.hosts[host].ephemeral_udp_ports >= EPHEMERAL_PORTS;
+        loop {
+            let port = self.alloc_ephemeral();
+            if full || !self.udp_bound.contains_key(&(host, port)) {
+                return port;
+            }
+        }
     }
 
     // ------------------------------------------------------------------
     // UDP
     // ------------------------------------------------------------------
 
-    /// Binds a UDP socket on `host`. Port 0 selects an ephemeral port —
-    /// this is how the paper's §3 UDP client multiplexes queries over many
-    /// independent source ports.
+    /// Binds a UDP socket on `host`. Port 0 selects an ephemeral port no
+    /// open socket on `host` holds — this is how the paper's §3 UDP client
+    /// multiplexes queries over many independent source ports.
+    ///
+    /// Several sockets may bind one `(host, port)`: the earliest-bound one
+    /// still open receives. The socket takes the slot of a closed one when
+    /// there is one, under a new generation (see [`SockId`]).
     pub fn udp_bind(&mut self, host: HostId, port: u16) -> SockId {
-        let port = if port == 0 { self.alloc_ephemeral() } else { port };
+        let port = if port == 0 { self.alloc_udp_ephemeral(host.0) } else { port };
         let owner = self.owner;
-        self.udp.push(UdpSock { host: host.0, port, rx: VecDeque::new(), open: true, owner });
-        SockId(self.udp.len() - 1)
+        let slot = match self.udp_free.pop() {
+            Some(slot) => {
+                let s = &mut self.udp[slot as usize];
+                (s.host, s.port, s.owner) = (host.0, port, owner);
+                slot
+            }
+            None => {
+                self.udp.push(UdpSock { host: host.0, port, gen: 0, rx: VecDeque::new(), owner });
+                u32::try_from(self.udp.len() - 1).expect("fewer than 2^32 UDP sockets open")
+            }
+        };
+        match self.udp_bound.entry((host.0, port)) {
+            Entry::Occupied(mut e) => e.get_mut().push(slot),
+            Entry::Vacant(e) => {
+                e.insert(Bound::One(slot));
+                if port >= EPHEMERAL_FIRST {
+                    self.hosts[host.0].ephemeral_udp_ports += 1;
+                }
+            }
+        }
+        SockId { slot, gen: self.udp[slot as usize].gen }
     }
 
-    /// Closes a UDP socket: queued datagrams are discarded and later
-    /// arrivals no longer match it. Long-running clients that bind an
-    /// ephemeral socket per query must close them, or a wrapped ephemeral
-    /// port would alias a dead socket and swallow responses.
+    /// Closes a UDP socket: queued datagrams are discarded, later arrivals
+    /// go to the next-earliest socket open on its `(host, port)` or are
+    /// dropped, and its port is free for the next ephemeral bind. The slot
+    /// is reused by a later [`Sim::udp_bind`]; closing a stale handle (one
+    /// already closed) is a no-op.
     pub fn udp_close(&mut self, sock: SockId) {
-        let s = &mut self.udp[sock.0];
-        s.open = false;
+        let Some(s) = self.udp_sock_mut(sock) else { return };
+        s.gen = s.gen.wrapping_add(1);
         s.rx.clear();
+        let key = (s.host, s.port);
+        let Entry::Occupied(mut e) = self.udp_bound.entry(key) else {
+            unreachable!("an open socket is in the demux index");
+        };
+        if e.get_mut().remove(sock.slot) {
+            e.remove();
+            if key.1 >= EPHEMERAL_FIRST {
+                self.hosts[key.0].ephemeral_udp_ports -= 1;
+            }
+        }
+        self.udp_free.push(sock.slot);
+    }
+
+    fn udp_sock(&self, sock: SockId) -> Option<&UdpSock> {
+        self.udp.get(sock.slot as usize).filter(|s| s.gen == sock.gen)
+    }
+
+    fn udp_sock_mut(&mut self, sock: SockId) -> Option<&mut UdpSock> {
+        self.udp.get_mut(sock.slot as usize).filter(|s| s.gen == sock.gen)
     }
 
     /// The local port of a UDP socket.
+    ///
+    /// # Panics
+    ///
+    /// If the socket was closed.
     pub fn udp_local_port(&self, sock: SockId) -> u16 {
-        self.udp[sock.0].port
+        self.udp_sock(sock).expect("udp_local_port on a closed socket").port
     }
 
     /// Sends a datagram from `sock` to `(host, port)`; the payload is
-    /// accounted under `tag` with the current attribution.
+    /// accounted under `tag` with the current attribution. Sending on a
+    /// closed socket is a bug: it fails a debug assertion, and release
+    /// builds drop the datagram.
     pub fn udp_send(&mut self, sock: SockId, dst: (HostId, u16), tag: LayerTag, payload: Vec<u8>) {
-        let src_sock = &self.udp[sock.0];
+        debug_assert!(self.udp_sock(sock).is_some(), "udp_send on a closed socket");
+        let Some(src_sock) = self.udp_sock(sock) else { return };
         let pkt = Packet {
             src: (HostId(src_sock.host), src_sock.port),
             dst,
@@ -368,9 +509,11 @@ impl Sim {
         self.send_packet(pkt);
     }
 
-    /// Receives one queued datagram, if any.
+    /// Receives one queued datagram, if any; `None` on a closed socket,
+    /// so a [`Wake::UdpReadable`] still queued when its socket closed
+    /// reads nothing.
     pub fn udp_recv(&mut self, sock: SockId) -> Option<(HostId, u16, Vec<u8>)> {
-        self.udp[sock.0].rx.pop_front()
+        self.udp_sock_mut(sock)?.rx.pop_front()
     }
 
     // ------------------------------------------------------------------
@@ -396,17 +539,22 @@ impl Sim {
         // Corrupted TCP segments fail the checksum at the receiver and are
         // discarded there: identical to a drop for the state machine.
         let effective_drop = lost || (corrupted && pkt.proto == Proto::Tcp);
-        self.trace.push(PacketRecord {
-            at: self.now,
-            direction: format!(
-                "{}:{}->{}:{}",
-                self.hosts[pkt.src.0 .0], pkt.src.1, self.hosts[pkt.dst.0 .0], pkt.dst.1
-            ),
-            wire_len: pkt.wire_len(),
-            attr: pkt.attr,
-            summary: pkt.summary(),
-            dropped: effective_drop,
-        });
+        if self.trace.is_recording() {
+            self.trace.push(PacketRecord {
+                at: self.now,
+                direction: format!(
+                    "{}:{}->{}:{}",
+                    self.hosts[pkt.src.0 .0].name,
+                    pkt.src.1,
+                    self.hosts[pkt.dst.0 .0].name,
+                    pkt.dst.1
+                ),
+                wire_len: pkt.wire_len(),
+                attr: pkt.attr,
+                summary: pkt.summary(),
+                dropped: effective_drop,
+            });
+        }
         if effective_drop {
             self.dropped += 1;
             return;
@@ -428,17 +576,15 @@ impl Sim {
     }
 
     fn deliver_udp(&mut self, pkt: Packet) {
-        let dst_host = pkt.dst.0 .0;
-        let dst_port = pkt.dst.1;
-        let Some(idx) =
-            self.udp.iter().position(|s| s.open && s.host == dst_host && s.port == dst_port)
-        else {
+        let Some(bound) = self.udp_bound.get(&(pkt.dst.0 .0, pkt.dst.1)) else {
             self.dropped += 1;
             return;
         };
-        self.udp[idx].rx.push_back((pkt.src.0, pkt.src.1, pkt.payload));
-        let owner = self.udp[idx].owner;
-        self.wakes.push_back((Wake::UdpReadable { at: self.now, sock: SockId(idx) }, owner));
+        let slot = bound.receiver();
+        let s = &mut self.udp[slot as usize];
+        s.rx.push_back((pkt.src.0, pkt.src.1, pkt.payload));
+        let sock = SockId { slot, gen: s.gen };
+        self.wakes.push_back((Wake::UdpReadable { at: self.now, sock }, s.owner));
     }
 
     // ------------------------------------------------------------------
@@ -545,6 +691,103 @@ mod tests {
             other => panic!("unexpected wake {other:?}"),
         }
         assert_eq!(sim.udp_recv(new).unwrap().2, vec![3]);
+    }
+
+    /// Sends one datagram to `(b, 53)` and returns the socket it woke.
+    fn deliver_to_b53(sim: &mut Sim, from: SockId, b: HostId) -> SockId {
+        sim.udp_send(from, (b, 53), LayerTag::DnsPayload, vec![7]);
+        match sim.next_wake() {
+            Some(Wake::UdpReadable { sock, .. }) => sock,
+            other => panic!("unexpected wake {other:?}"),
+        }
+    }
+
+    #[test]
+    fn earliest_bound_open_socket_receives_then_the_next_takes_over() {
+        let (mut sim, a, b) = two_hosts(21);
+        let sa = sim.udp_bind(a, 0);
+        let first = sim.udp_bind(b, 53);
+        let second = sim.udp_bind(b, 53);
+        assert_eq!(deliver_to_b53(&mut sim, sa, b), first);
+        assert!(sim.udp_recv(second).is_none());
+        sim.udp_close(first);
+        assert_eq!(deliver_to_b53(&mut sim, sa, b), second);
+        assert_eq!(sim.udp_recv(second).unwrap().2, vec![7]);
+    }
+
+    #[test]
+    fn a_stale_handle_never_reaches_the_next_occupant_of_its_slot() {
+        let (mut sim, a, b) = two_hosts(22);
+        let sa = sim.udp_bind(a, 0);
+        let stale = sim.udp_bind(b, 53);
+        sim.udp_close(stale);
+        let new = sim.udp_bind(b, 53);
+        assert_eq!(new.slot, stale.slot, "the closed socket's slot is reused");
+        assert_ne!(new, stale);
+        assert_eq!(deliver_to_b53(&mut sim, sa, b), new);
+        assert!(sim.udp_recv(stale).is_none());
+        sim.udp_close(stale);
+        assert_eq!(sim.udp_recv(new).unwrap().2, vec![7], "the new socket kept its datagram");
+        assert_eq!(deliver_to_b53(&mut sim, sa, b), new, "and still receives");
+    }
+
+    #[test]
+    fn a_wake_queued_before_close_reads_nothing() {
+        let (mut sim, a, b) = two_hosts(23);
+        let sa = sim.udp_bind(a, 0);
+        let sb = sim.udp_bind(b, 53);
+        let woken = deliver_to_b53(&mut sim, sa, b);
+        sim.udp_close(sb);
+        // A rebind takes the slot before the wake's reader gets to it.
+        let new = sim.udp_bind(b, 53);
+        assert!(sim.udp_recv(woken).is_none());
+        assert!(sim.udp_recv(new).is_none());
+    }
+
+    #[test]
+    fn a_socket_per_query_keeps_the_slot_table_small() {
+        let (mut sim, a, b) = two_hosts(24);
+        let sb = sim.udp_bind(b, 53);
+        for i in 0..100_000u32 {
+            let sa = sim.udp_bind(a, 0);
+            sim.udp_send(sa, (b, 53), LayerTag::DnsPayload, i.to_be_bytes().to_vec());
+            assert!(matches!(sim.next_wake(), Some(Wake::UdpReadable { .. })));
+            assert_eq!(sim.udp_recv(sb).unwrap().2, i.to_be_bytes());
+            sim.udp_close(sa);
+        }
+        assert!(sim.udp.len() <= 3, "{} slots for 2 open sockets", sim.udp.len());
+    }
+
+    #[test]
+    fn ephemeral_wrap_skips_ports_open_on_the_host() {
+        let (mut sim, a, b) = two_hosts(25);
+        let first = sim.udp_bind(b, 0);
+        sim.udp_bind(a, 0);
+        let mut last = first;
+        for _ in 2..EPHEMERAL_PORTS {
+            last = sim.udp_bind(b, 0);
+        }
+        assert_eq!(sim.udp_local_port(last), u16::MAX);
+        // The cursor wraps onto `first`'s port, still open on `b`; the
+        // bind skips it and takes the port `a` holds, free on `b`.
+        let wrapped = sim.udp_bind(b, 0);
+        let port = sim.udp_local_port(wrapped);
+        assert_eq!(port, EPHEMERAL_FIRST + 1);
+        let sa = sim.udp_bind(a, 53);
+        sim.udp_send(sa, (b, port), LayerTag::DnsPayload, vec![1]);
+        match sim.next_wake() {
+            Some(Wake::UdpReadable { sock, .. }) => assert_eq!(sock, wrapped),
+            other => panic!("unexpected wake {other:?}"),
+        }
+        // `b` now holds every ephemeral port: the next bind shares one,
+        // and the earlier-bound socket keeps receiving on it.
+        let shared = sim.udp_bind(b, 0);
+        let port = sim.udp_local_port(shared);
+        sim.udp_send(sa, (b, port), LayerTag::DnsPayload, vec![2]);
+        match sim.next_wake() {
+            Some(Wake::UdpReadable { sock, .. }) => assert_ne!(sock, shared),
+            other => panic!("unexpected wake {other:?}"),
+        }
     }
 
     #[test]

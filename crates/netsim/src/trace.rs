@@ -237,9 +237,15 @@ impl TraceLog {
         self.enabled = false;
     }
 
+    /// Whether [`TraceLog::push`] would keep a record: enabled and under
+    /// the cap. Callers check it before formatting a record.
+    pub fn is_recording(&self) -> bool {
+        self.enabled && self.records.len() < self.cap
+    }
+
     /// Appends a record if enabled and under the cap.
     pub fn push(&mut self, rec: PacketRecord) {
-        if self.enabled && self.records.len() < self.cap {
+        if self.is_recording() {
             self.records.push(rec);
         }
     }
@@ -341,7 +347,9 @@ mod tests {
             dropped: false,
         });
         assert!(log.records().is_empty());
+        assert!(!log.is_recording());
         log.enable(2);
+        assert!(log.is_recording());
         for _ in 0..5 {
             log.push(PacketRecord {
                 at: SimTime::ZERO,
@@ -353,6 +361,7 @@ mod tests {
             });
         }
         assert_eq!(log.records().len(), 2);
+        assert!(!log.is_recording(), "a full log records nothing more");
         assert!(log.dump().contains("ACK"));
     }
 
