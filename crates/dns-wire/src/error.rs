@@ -41,8 +41,6 @@ pub enum DnsError {
     },
     /// Trailing bytes after the final record.
     TrailingBytes(usize),
-    /// A JSON document did not describe a valid DNS message.
-    Json(String),
 }
 
 impl fmt::Display for DnsError {
@@ -66,7 +64,6 @@ impl fmt::Display for DnsError {
                 write!(f, "value {value} out of range for {field}")
             }
             DnsError::TrailingBytes(n) => write!(f, "{n} trailing bytes after message"),
-            DnsError::Json(msg) => write!(f, "invalid dns-json: {msg}"),
         }
     }
 }

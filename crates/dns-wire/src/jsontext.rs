@@ -2,13 +2,12 @@
 //!
 //! The workspace must build on offline machines with an empty registry
 //! cache, so it cannot depend on `serde`/`serde_json`. This module supplies
-//! the small subset of JSON the `application/dns-json` codec ([`crate::json`])
-//! needs: a parsed [`JsonValue`] tree, a recursive-descent parser, and
-//! string escaping for the writer side.
+//! the small subset of JSON the workspace's reports need: a parsed
+//! [`JsonValue`] tree, a recursive-descent parser, and string escaping for
+//! the writer side.
 //!
 //! Objects preserve insertion order (they are association lists, not maps),
-//! which keeps serialisation deterministic and matches how the deployed
-//! Google/Cloudflare APIs present their fields.
+//! which keeps serialisation deterministic.
 
 use std::fmt;
 

@@ -6,7 +6,8 @@
 //! with a fixed A record, mirroring the paper's controlled resolver.
 //! Query and response bytes are tagged
 //! [`LayerTag::DnsPayload`](dohmark_netsim::LayerTag) and attributed to the
-//! DNS transaction id.
+//! DNS transaction id. With an [`UdpRetry`] policy, each retransmission
+//! timer carries its query's transaction id as the token.
 
 use crate::resolver::ServerBackend;
 use crate::{Endpoint, Resolver};
@@ -41,12 +42,6 @@ impl UdpRetry {
         UdpRetry { initial: SimDuration::from_millis(200), max_retries: 6 }
     }
 }
-
-/// High bits of the retransmission-timer tokens, keeping them disjoint
-/// from [`ADVANCE_TOKEN`](crate::ADVANCE_TOKEN) (`u64::MAX`) and from any
-/// harness-owned token namespace; the low 16 bits carry the transaction
-/// id the timer belongs to.
-const RETRY_TOKEN_BASE: u64 = 0xD053 << 32;
 
 /// A Do53 server answering from a pluggable [`ServerBackend`] —
 /// authoritative zone data or a shared caching recursive resolver.
@@ -155,13 +150,11 @@ impl Do53Client {
         Do53Client { host, server, retry: Some(retry), pending: Vec::new(), responses: Vec::new() }
     }
 
-    /// Handles a retransmission-timer wake; returns `true` if the token
-    /// belonged to this client's timer namespace.
-    fn on_retry_timer(&mut self, sim: &mut Sim, token: u64) -> bool {
-        if token & !0xFFFF != RETRY_TOKEN_BASE {
-            return false;
-        }
-        let id = (token & 0xFFFF) as u16;
+    /// Handles a retransmission-timer wake. The token is the transaction
+    /// id; the driver routes only this client's own timers here, so no
+    /// other client's ids can collide with it.
+    fn on_retry_timer(&mut self, sim: &mut Sim, token: u64) {
+        let id = token as u16;
         // A stale timer for an already-answered query finds no pending
         // entry and falls through silently — each fire rearms at most
         // one successor, so chains die with their query.
@@ -176,7 +169,6 @@ impl Do53Client {
                 crate::driver::schedule_endpoint_timer(sim, q.next_timeout, token);
             }
         }
-        true
     }
 }
 
@@ -192,8 +184,7 @@ impl Resolver for Do53Client {
         sim.udp_send(sock, self.server, LayerTag::DnsPayload, wire.clone());
         let (retries_left, next_timeout) = match self.retry {
             Some(retry) => {
-                let token = RETRY_TOKEN_BASE | u64::from(id);
-                crate::driver::schedule_endpoint_timer(sim, retry.initial, token);
+                crate::driver::schedule_endpoint_timer(sim, retry.initial, u64::from(id));
                 (retry.max_retries, retry.initial)
             }
             None => (0, SimDuration::ZERO),
@@ -217,9 +208,7 @@ impl Resolver for Do53Client {
 impl Endpoint for Do53Client {
     fn on_wake(&mut self, sim: &mut Sim, wake: &Wake) {
         match wake {
-            Wake::AppTimer { token, .. } => {
-                self.on_retry_timer(sim, *token);
-            }
+            Wake::AppTimer { token, .. } => self.on_retry_timer(sim, *token),
             Wake::UdpReadable { sock, .. } => {
                 let Some(idx) = self.pending.iter().position(|q| q.sock == *sock) else {
                     return;

@@ -15,6 +15,13 @@
 //! after a FIN, fresh per-query sockets, accepted server connections via
 //! the listener's owner) inherit the right id too.
 //!
+//! [`Driver::step`] is the one event loop: it pops a wake, routes it and
+//! says where it went. [`Driver::resolve`], [`Driver::advance_until`],
+//! [`Driver::run_until_quiescent`] and the page-load engine all step the
+//! driver. Endpoint timers need no reserved tokens: owner routing keeps
+//! each endpoint's timers apart, and a timer the caller arms unowned comes
+//! back to the caller as [`Step::Timer`].
+//!
 //! ```
 //! use dohmark_dns_wire::Name;
 //! use dohmark_doh::{Driver, ReusePolicy, TransportConfig, TransportKind};
@@ -34,7 +41,7 @@
 //! # let _ = server;
 //! ```
 
-use crate::{Endpoint, Resolver, ADVANCE_TOKEN};
+use crate::{Endpoint, Resolver};
 use dohmark_dns_wire::{Message, Name};
 use dohmark_netsim::{Sim, SimDuration, SimTime, Wake};
 
@@ -45,7 +52,6 @@ use dohmark_netsim::{Sim, SimDuration, SimTime, Wake};
 /// the calling endpoint's callback, so the [`Driver`] routes the eventual
 /// [`Wake::AppTimer`] straight back to that endpoint.
 pub(crate) fn schedule_endpoint_timer(sim: &mut Sim, delay: SimDuration, token: u64) {
-    debug_assert_ne!(token, ADVANCE_TOKEN, "token is reserved for Driver::advance_until");
     sim.schedule_app_in(delay, token);
 }
 
@@ -61,6 +67,16 @@ impl EndpointId {
     pub fn as_u64(self) -> u64 {
         self.0
     }
+}
+
+/// What one [`Driver::step`] did with the wake it popped.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Step {
+    /// The wake went to this endpoint's [`Endpoint::on_wake`].
+    Routed(EndpointId),
+    /// An unowned application timer, armed by the caller outside any
+    /// endpoint callback, fired with this token.
+    Timer(u64),
 }
 
 /// Registered endpoints keep their concrete capability: plain endpoints
@@ -153,29 +169,6 @@ impl Driver {
         }
     }
 
-    /// Routes one wake to the endpoint owning its handle, installing that
-    /// endpoint's id as the simulator owner for the duration of the
-    /// callback (so reconnects inherit it).
-    fn route(&mut self, sim: &mut Sim, wake: &Wake, owner: u64) {
-        if owner == 0 || owner as usize > self.slots.len() {
-            self.unrouted += 1;
-            return;
-        }
-        let prev = sim.owner();
-        sim.set_owner(owner);
-        self.slots[owner as usize - 1].on_wake(sim, wake);
-        sim.set_owner(prev);
-    }
-
-    /// Routes one externally popped wake — the entry point for harnesses
-    /// that run their own event loop (e.g. the page-load engine, which
-    /// interleaves its fetch-completion timers with DNS wakes): pop with
-    /// [`Sim::next_wake_owned`], handle your own tokens, and hand
-    /// everything else here.
-    pub fn dispatch(&mut self, sim: &mut Sim, wake: &Wake, owner: u64) {
-        self.route(sim, wake, owner);
-    }
-
     /// Starts a resolution on the registered client `id` (transaction and
     /// attribution id `txn`) without driving the loop; pair with
     /// [`Driver::run_until_quiescent`] / [`Driver::take_response`] to
@@ -200,9 +193,37 @@ impl Driver {
         sim.set_owner(prev);
     }
 
-    /// Sends one query from client `id` and runs the simulation — routing
-    /// every wake to its owner — until the response arrives. Returns
-    /// `None` if the simulation runs dry first.
+    /// Pops the next wake and routes it to the endpoint owning its
+    /// handle, installing that endpoint's id as the simulator owner for
+    /// the duration of the callback (so reconnects inherit it). Every
+    /// loop over the simulation runs on this one call.
+    ///
+    /// An unowned [`Wake::AppTimer`] — one the caller armed outside any
+    /// endpoint callback — comes back as [`Step::Timer`] for the caller to
+    /// handle. Any other wake whose owner is not a registered endpoint is
+    /// counted in [`Driver::unrouted_wakes`] and skipped. Returns `None`
+    /// once the simulation has run dry.
+    pub fn step(&mut self, sim: &mut Sim) -> Option<Step> {
+        loop {
+            let (wake, owner) = sim.next_wake_owned()?;
+            let slot = (owner as usize).checked_sub(1).and_then(|i| self.slots.get_mut(i));
+            let Some(slot) = slot else {
+                match wake {
+                    Wake::AppTimer { token, .. } if owner == 0 => return Some(Step::Timer(token)),
+                    _ => self.unrouted += 1,
+                }
+                continue;
+            };
+            let prev = sim.owner();
+            sim.set_owner(owner);
+            slot.on_wake(sim, &wake);
+            sim.set_owner(prev);
+            return Some(Step::Routed(EndpointId(owner)));
+        }
+    }
+
+    /// Sends one query from client `id` and runs the simulation until the
+    /// response arrives. Returns `None` if the simulation runs dry first.
     pub fn resolve(
         &mut self,
         sim: &mut Sim,
@@ -212,11 +233,15 @@ impl Driver {
     ) -> Option<Message> {
         self.send_query(sim, id, name, txn);
         loop {
-            if let Some(response) = self.take_response(id, txn) {
-                return Some(response);
+            match self.step(sim)? {
+                Step::Routed(owner) if owner == id => {
+                    if let Some(response) = self.take_response(id, txn) {
+                        return Some(response);
+                    }
+                }
+                Step::Routed(_) => {}
+                Step::Timer(_) => self.unrouted += 1,
             }
-            let (wake, owner) = sim.next_wake_owned()?;
-            self.route(sim, &wake, owner);
         }
     }
 
@@ -224,25 +249,96 @@ impl Driver {
     /// — unlike [`Sim::drain`], which discards wakes, so teardown traffic
     /// (FINs) still reaches the endpoints' state machines.
     pub fn run_until_quiescent(&mut self, sim: &mut Sim) {
-        while let Some((wake, owner)) = sim.next_wake_owned() {
-            self.route(sim, &wake, owner);
+        while let Some(step) = self.step(sim) {
+            if let Step::Timer(_) = step {
+                self.unrouted += 1;
+            }
         }
     }
 
     /// Advances the simulation to time `at`, routing every wake seen on
     /// the way (leftover ACKs, FIN teardown, late responses) — the idle
-    /// time between two workload arrivals. Uses the reserved
-    /// [`ADVANCE_TOKEN`] timer token.
+    /// time between two workload arrivals. Arms one unowned timer whose
+    /// token is its deadline in nanoseconds and returns when it fires;
+    /// any other unowned timer firing first counts as unrouted.
     pub fn advance_until(&mut self, sim: &mut Sim, at: SimTime) {
+        let token = at.as_nanos();
         let prev = sim.owner();
         sim.set_owner(0);
-        sim.schedule_app(at, ADVANCE_TOKEN);
+        sim.schedule_app(at, token);
         sim.set_owner(prev);
-        while let Some((wake, owner)) = sim.next_wake_owned() {
-            if matches!(wake, Wake::AppTimer { token, .. } if token == ADVANCE_TOKEN) {
-                return;
+        while let Some(step) = self.step(sim) {
+            match step {
+                Step::Timer(t) if t == token => return,
+                Step::Timer(_) => self.unrouted += 1,
+                Step::Routed(_) => {}
             }
-            self.route(sim, &wake, owner);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::transport::tests::{driven, localhost};
+    use crate::{ReusePolicy, TransportConfig, TransportKind, UdpRetry};
+    use dohmark_netsim::LinkConfig;
+
+    fn do53() -> TransportConfig {
+        localhost(TransportKind::Do53, ReusePolicy::Fresh)
+    }
+
+    #[test]
+    fn an_unowned_timer_comes_back_to_the_caller() {
+        let (mut sim, mut driver, _client) = driven(&do53(), 1);
+        sim.schedule_app(SimTime(1_000), 7);
+        assert_eq!(driver.step(&mut sim), Some(Step::Timer(7)));
+        assert_eq!(driver.unrouted_wakes(), 0);
+        assert_eq!(driver.step(&mut sim), None);
+    }
+
+    #[test]
+    fn a_stray_timer_during_quiescence_counts_once_as_unrouted() {
+        let (mut sim, mut driver, client) = driven(&do53(), 2);
+        let name = Name::parse("abcdefgh.dohmark.test").unwrap();
+        driver.send_query(&mut sim, client, &name, 1);
+        sim.schedule_app(SimTime(1_000), 7);
+        driver.run_until_quiescent(&mut sim);
+        assert_eq!(driver.unrouted_wakes(), 1);
+        assert!(driver.take_response(client, 1).is_some());
+    }
+
+    #[test]
+    fn retry_timers_are_scoped_to_their_client() {
+        // Two retrying stubs behind dead links send the same txn id: each
+        // must retransmit its own query on its own timers, and only that.
+        let retry = UdpRetry { initial: SimDuration::from_millis(200), max_retries: 2 };
+        let cfg = TransportConfig { link: LinkConfig::localhost().loss(1.0), ..do53() }
+            .with_udp_retry(retry);
+        let mut sim = Sim::new(3);
+        sim.trace.enable(32);
+        let stubs = [sim.add_host("stub-a"), sim.add_host("stub-b")];
+        let resolver = sim.add_host("resolver");
+        let mut driver = Driver::new();
+        driver.register(&mut sim, |sim| cfg.build_server(sim, resolver));
+        let name = Name::parse("abcdefgh.dohmark.test").unwrap();
+        for stub in stubs {
+            sim.add_link(stub, resolver, cfg.link);
+            let client = driver.register_resolver(&mut sim, |_| cfg.build_client(stub, resolver));
+            driver.send_query(&mut sim, client, &name, 1);
+        }
+        driver.run_until_quiescent(&mut sim);
+        assert_eq!(driver.unrouted_wakes(), 0);
+        for host in ["stub-a", "stub-b"] {
+            let sends: Vec<_> = sim
+                .trace
+                .records()
+                .iter()
+                .filter(|r| r.direction.starts_with(host))
+                .map(|r| r.direction.clone())
+                .collect();
+            assert_eq!(sends.len(), 3, "{host}: original + 2 retransmissions: {sends:?}");
+            assert!(sends.iter().all(|s| s == &sends[0]), "{host}: {sends:?}");
         }
     }
 }

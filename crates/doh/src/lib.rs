@@ -90,7 +90,7 @@ pub mod zone;
 
 pub use cache::{CacheStats, DnsCache};
 pub use do53::{Do53Client, Do53Server, UdpRetry};
-pub use driver::{Driver, EndpointId};
+pub use driver::{Driver, EndpointId, Step};
 pub use resolver::{RecursiveResolver, ServerBackend};
 pub use stream::ReusePolicy;
 pub use transport::{TransportConfig, TransportKind};
@@ -129,7 +129,3 @@ pub trait Resolver: Endpoint {
         let _ = sim;
     }
 }
-
-/// Timer token [`Driver::advance_until`] reserves for its internal timer;
-/// application timers must use other values.
-pub const ADVANCE_TOKEN: u64 = u64::MAX;

@@ -599,8 +599,9 @@ impl Sim {
 
     /// Like [`Sim::next_wake`], but also returns the wake's owner id — the
     /// [`Sim::set_owner`] value in effect when the underlying handle was
-    /// created. Owner `0` means the handle was created unowned; routed
-    /// drivers broadcast (or drop) such wakes as they see fit.
+    /// created. Owner `0` means the handle was created unowned;
+    /// `doh::Driver::step` hands unowned timers back to its caller and
+    /// counts every other unowned wake as unrouted.
     pub fn next_wake_owned(&mut self) -> Option<(Wake, u64)> {
         loop {
             if let Some(w) = self.wakes.pop_front() {
